@@ -7,6 +7,8 @@ Subcommands::
     lambda-mixer design        --scenario PATH [--json]
     lambda-mixer noise         --scenario PATH
 
+--workers is accepted and ignored: sweeps run as numpy blocks on one thread.
+
 Exit codes: 0 success, 1 validation failure, 2 numerical failure, 3 I/O
 failure, 4 design infeasible.  Scenario arguments may be file paths or names
 of shipped scenarios; the LAMBDA_MIXER_SCENARIO_DIR environment variable
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -84,12 +85,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--json", action="store_true", help="also write a run-record JSON sidecar")
         p.add_argument("--svg", action="store_true", help="also render an SVG plot")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="parallel workers over grid points (default: machine parallelism)",
-        )
+        p.add_argument("--workers", type=int, help="ignored; kept so existing scripts still run")
         return p
 
     add_scan("scan-detuning", "transmission spectra versus two-photon detuning").set_defaults(
@@ -155,16 +151,19 @@ def _write_scan_outputs(
     return EXIT_OK
 
 
-def _require_out_for(args) -> None:
+def _check_out(args) -> None:
     if (args.json or args.svg) and not args.out:
         raise _UsageError("--json/--svg require --out")
+    suffix = Path(args.out or "").suffix
+    if (suffix == ".json" and args.json) or (suffix == ".svg" and args.svg):
+        raise _UsageError(f"--out {args.out} is also the {suffix} sidecar path; pick another")
 
 
 def _cmd_scan_detuning(args) -> int:
-    _require_out_for(args)
+    _check_out(args)
     scenario, _ = _load(args)
     spec = scenario.sweep if scenario.sweep and scenario.sweep.axis == DETUNING_AXIS else None
-    records = sweep_detuning(scenario, spec, workers=args.workers)
+    records = sweep_detuning(scenario, spec)
     return _write_scan_outputs(
         args,
         "scan-detuning",
@@ -185,7 +184,7 @@ def _cmd_scan_detuning(args) -> int:
 
 
 def _cmd_scan_dabs(args) -> int:
-    _require_out_for(args)
+    _check_out(args)
     scenario, _ = _load(args)
     spec = (
         scenario.sweep
@@ -193,7 +192,7 @@ def _cmd_scan_dabs(args) -> int:
         else DEFAULT_DABS_SPEC
     )
     inner = default_detuning_spec(scenario.eit)
-    records = sweep_absorber_depth(scenario, spec, workers=args.workers, inner_spec=inner)
+    records = sweep_absorber_depth(scenario, spec, inner_spec=inner)
     return _write_scan_outputs(
         args,
         "scan-dabs",

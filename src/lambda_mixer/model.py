@@ -125,6 +125,7 @@ class SweepSpec:
 
 
 _NORMALIZE_MODES = ("input", "max")
+MAX_SWEEP_POINTS = 100_000  # bounds one sweep's output; a depth scan times its inner grid
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,8 @@ def sweep_violations(spec: SweepSpec, prefix: str = "") -> list[Violation]:
         v.append(Violation(prefix + "axis", spec.axis, "unknown sweep axis"))
     if not spec.points >= 2:
         v.append(Violation(prefix + "points", spec.points, "must be at least 2"))
+    elif spec.points > MAX_SWEEP_POINTS:
+        v.append(Violation(prefix + "points", spec.points, f"must be at most {MAX_SWEEP_POINTS}"))
     if not spec.start < spec.stop:
         v.append(Violation(prefix + "start", spec.start, "must be less than stop"))
     if spec.scale not in ("linear", "logarithmic"):

@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError, SingularityError
 from .model import CouplingMatrix, EitMedium, FieldPair, _frozen_2x2
@@ -41,6 +40,7 @@ ADAPTIVE_RK = "adaptive-rk"
 
 _RK_RTOL = 1e-10
 _RK_ATOL = 1e-12
+_SERIES_Q = 1e-3  # |q| at or below which expm2 uses the series
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,11 @@ class TransferMatrix:
 def coupling_entries(
     eit: EitMedium, absorber_loss: complex = 0j, delta: float = 0.0
 ) -> tuple[complex, complex, complex, complex]:
-    """Scalar entries of the propagation generator; fast path for sweeps."""
+    """Entries m00, m01, m10, m11 of the propagation generator.
+
+    delta and absorber_loss may be numpy arrays, which broadcast.  A vanishing
+    denominator raises SingularityError for scalars; arrays get non-finite entries.
+    """
     g = eit.gamma_ge
     gs = eit.gamma_gs
     w = eit.omega_c
@@ -70,16 +74,14 @@ def coupling_entries(
     k = eit.depth * g
     if w == 0.0:
         # Couplings vanish; the probe sees the bare two-level line.
-        m00 = -1j * k / complex(delta, g)
+        m00 = -1j * k / (delta + 1j * g)
         return m00, 0j, 0j, -absorber_loss
-    den = complex(delta, gs) * complex(delta, g) - w * w
-    if den == 0:
-        raise SingularityError(
-            f"coherence denominator vanished at delta = {delta!r} MHz"
-        )
+    den = (delta + 1j * gs) * (delta + 1j * g) - w * w
+    if not isinstance(den, np.ndarray) and den == 0:
+        raise SingularityError(f"coherence denominator vanished at delta = {delta!r} MHz")
     fwm = 1j * k * (w * w / dl) / den
-    m00 = -1j * k * complex(delta, gs) / den
-    m11 = 1j * k * (w * w / (dl * dl)) * complex(delta, g) / den - absorber_loss
+    m00 = -1j * k * (delta + 1j * gs) / den
+    m11 = 1j * k * (w * w / (dl * dl)) * (delta + 1j * g) / den - absorber_loss
     return m00, fwm, -fwm, m11
 
 
@@ -94,6 +96,13 @@ def build_coupling_matrix(
     return CouplingMatrix(m=np.array([[m00, m01], [m10, m11]]), delta=delta)
 
 
+def _series(emu, q2):
+    """e^mu (cosh q, sinh(q)/q) from the Taylor series in q^2, for small |q|."""
+    c = emu * (1.0 + q2 * (0.5 + q2 * (1.0 / 24.0 + q2 / 720.0)))
+    s = emu * (1.0 + q2 * (1.0 / 6.0 + q2 * (1.0 / 120.0 + q2 / 5040.0)))
+    return c, s
+
+
 def expm2(
     m00: complex, m01: complex, m10: complex, m11: complex
 ) -> tuple[complex, complex, complex, complex]:
@@ -103,21 +112,30 @@ def expm2(
     exp(M) = e^mu (cosh(q) I + sinh(q)/q A).  For |q| away from zero the
     cosh/sinh pair is assembled from e^(mu+q) and e^(mu-q), which stays
     finite for strongly dissipative matrices; near q = 0 a series in q^2
-    avoids the 0/0.
+    avoids the 0/0.  Numpy array entries broadcast; scalars go through cmath,
+    several times cheaper per call, and raise OverflowError where arrays
+    produce non-finite values.
     """
     mu = 0.5 * (m00 + m11)
     a = 0.5 * (m00 - m11)  # A = [[a, m01], [m10, -a]]
-    q = cmath.sqrt(a * a + m01 * m10)
-    if abs(q) <= 1e-3:
-        q2 = q * q
-        emu = cmath.exp(mu)
-        c = emu * (1.0 + q2 * (0.5 + q2 * (1.0 / 24.0 + q2 / 720.0)))
-        s = emu * (1.0 + q2 * (1.0 / 6.0 + q2 * (1.0 / 120.0 + q2 / 5040.0)))
+    q2 = a * a + m01 * m10
+    if isinstance(q2, np.ndarray):
+        mu, q2 = np.broadcast_arrays(mu, q2)
+        q = np.sqrt(q2)
+        small = np.abs(q) <= _SERIES_Q
+        safe = np.where(small, 1.0, q)  # series values replace these points
+        ep, em = np.exp(mu + safe), np.exp(mu - safe)
+        c, s = 0.5 * (ep + em), 0.5 * (ep - em) / safe
+        if small.any():
+            qs = q[small]
+            c[small], s[small] = _series(np.exp(mu[small]), qs * qs)
     else:
-        ep = cmath.exp(mu + q)
-        em = cmath.exp(mu - q)
-        c = 0.5 * (ep + em)
-        s = 0.5 * (ep - em) / q
+        q = cmath.sqrt(q2)
+        if abs(q) <= _SERIES_Q:
+            c, s = _series(cmath.exp(mu), q * q)
+        else:
+            ep, em = cmath.exp(mu + q), cmath.exp(mu - q)
+            c, s = 0.5 * (ep + em), 0.5 * (ep - em) / q
     return c + s * a, s * m01, s * m10, c - s * a
 
 
@@ -133,6 +151,9 @@ def transfer_matrix(matrix: CouplingMatrix) -> TransferMatrix:
 
 
 def _transfer_adaptive(matrix: CouplingMatrix) -> TransferMatrix:
+    # imported here: slower to import than the whole package, and only this needs it
+    from scipy.integrate import solve_ivp
+
     m = np.asarray(matrix.m, dtype=complex)
     columns = []
     for basis in (np.array([1.0 + 0j, 0j]), np.array([0j, 1.0 + 0j])):

@@ -1,21 +1,20 @@
 """Sweep engine: transmission spectra and absorber-depth scans.
 
-Grid points are independent, so sweeps are embarrassingly parallel; results
-are assembled by index, which makes the output deterministic and identical
-for any worker count.
+Grid points are independent.  Sweeps evaluate them through the broadcasting
+propagation kernels, at most BLOCK points per numpy pass, which bounds the
+temporaries whatever the grid size.  A point with a non-finite output (a
+singular denominator or an overflow) is flagged and zeroed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .model import EitMedium, Scenario, SweepSpec
 from .propagation import coupling_entries, expm2
 from .susceptibility import (
@@ -31,6 +30,7 @@ DEPTH_AXIS = "absorber-depth"
 
 DEFAULT_DETUNING_POINTS = 401
 DEFAULT_WINDOW_WIDTHS = 20.0
+BLOCK = 4096  # grid points per numpy pass
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,10 @@ def _shape_profile(scenario: Scenario) -> Optional[Callable[[float], complex]]:
         raise
 
 
+def _no_loss(delta):
+    return 0j  # broadcasts against any detuning array
+
+
 def absorber_loss_profile(
     scenario: Scenario,
 ) -> tuple[Callable[[float], complex], float]:
@@ -103,62 +107,45 @@ def absorber_loss_profile(
 
     The profile is oriented for the conjugated-idler equation: its value is 1
     at the line center and its conjugate is the physical idler response.  The
-    loss subtracted from the idler diagonal is depth times the profile.
+    loss subtracted from the idler diagonal is depth times the profile.  The
+    profile takes a detuning or a numpy array of them.
     """
     profile = _shape_profile(scenario)
     if profile is None:
-        return (lambda delta: 0j), 0.0
+        return _no_loss, 0.0
     return profile, effective_depth(scenario.absorber)
 
 
-def _evaluate_point(
-    eit: EitMedium,
-    profile: Callable[[float], complex],
-    depth: float,
-    seed: float,
-    delta: float,
-) -> SpectrumRecord:
-    try:
-        lam = profile(delta)
-        m00, m01, m10, m11 = coupling_entries(eit, depth * lam, delta)
-        t00, t01, t10, t11 = expm2(m00, m01, m10, m11)
-        probe = abs(t00 + t01 * seed) ** 2
-        stokes = abs(t10 + t11 * seed) ** 2
-        reference = math.exp(2.0 * m00.real)
-        if not all(map(math.isfinite, (probe, stokes, reference))):
-            raise OverflowError("non-finite intensity")
-        return SpectrumRecord(
-            axis_value=delta,
-            probe_transmission=probe,
-            stokes_output=stokes,
-            absorber_profile=abs(lam) ** 2,
-            eit_reference=reference,
-        )
-    except (SingularityError, OverflowError):
-        return SpectrumRecord(
-            axis_value=delta,
-            probe_transmission=0.0,
-            stokes_output=0.0,
-            absorber_profile=0.0,
-            eit_reference=0.0,
-            flagged=True,
-        )
+def _row_groups(eit: EitMedium, profile, deltas, depths, seed: float) -> Iterator[tuple]:
+    """Evaluate the depths x deltas grid, at most BLOCK points per numpy pass.
 
-
-def _parallel_map(fn, items: Sequence, workers: Optional[int]) -> list:
-    n = len(items)
-    if workers is None:
-        workers = 1
-    workers = max(1, min(int(workers), n))
-    if workers == 1:
-        return [fn(x) for x in items]
-    chunks = np.array_split(np.arange(n), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(lambda idx: [fn(items[i]) for i in idx], c) for c in chunks]
-        out: list = []
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+    Yields (depths, values, flags) for consecutive groups of rows: as many
+    whole rows as fit in BLOCK points, or one row split into blocks.  values
+    stacks probe, Stokes, |profile|^2 and EIT reference, shape (4, rows,
+    len(deltas)); a point where any of them is not finite is flagged and zeroed.
+    """
+    n = len(deltas)
+    step = max(1, BLOCK // max(n, 1))
+    for r in range(0, len(depths), step):
+        rows = depths[r : r + step]
+        values = np.empty((4, len(rows), n))
+        for c in range(0, n, BLOCK):
+            delta = deltas[c : c + BLOCK]
+            lam = profile(delta)
+            with np.errstate(all="ignore"):
+                m00, m01, m10, m11 = coupling_entries(eit, rows[:, None] * lam, delta)
+                t00, t01, t10, t11 = expm2(m00, m01, m10, m11)
+                outputs = (
+                    np.abs(t00 + t01 * seed) ** 2,
+                    np.abs(t10 + t11 * seed) ** 2,
+                    np.abs(lam) ** 2,
+                    np.exp(2.0 * m00.real),
+                )
+            for out, value in zip(values[:, :, c : c + BLOCK], outputs):
+                out[...] = value
+        flagged = ~np.isfinite(values).all(axis=0)
+        values[:, flagged] = 0.0
+        yield rows, values, flagged
 
 
 def sweep_detuning(
@@ -166,39 +153,26 @@ def sweep_detuning(
     spec: Optional[SweepSpec] = None,
     workers: Optional[int] = None,
 ) -> list[SpectrumRecord]:
-    """Transmission spectrum versus two-photon detuning."""
+    """Transmission spectrum versus two-photon detuning.
+
+    workers is accepted for compatibility and ignored: the grid is evaluated
+    in numpy blocks on the calling thread.
+    """
     if spec is None:
         spec = default_detuning_spec(scenario.eit)
     if spec.axis != DETUNING_AXIS:
         raise DomainError(f"sweep_detuning requires axis {DETUNING_AXIS!r}, got {spec.axis!r}")
     profile, depth = absorber_loss_profile(scenario)
-    seed = scenario.options.stokes_seed
-    eit = scenario.eit
-
-    def point(delta: float) -> SpectrumRecord:
-        return _evaluate_point(eit, profile, depth, seed, float(delta))
-
-    records = _parallel_map(point, list(spec.grid()), workers)
-    if scenario.options.normalize_stokes == "max":
-        records = _renormalize_stokes(records)
-    return records
-
-
-def _renormalize_stokes(records: list[SpectrumRecord]) -> list[SpectrumRecord]:
-    peak = max((r.stokes_output for r in records if not r.flagged), default=0.0)
-    if peak <= 0.0:
-        return records
-    return [
-        SpectrumRecord(
-            axis_value=r.axis_value,
-            probe_transmission=r.probe_transmission,
-            stokes_output=r.stokes_output / peak,
-            absorber_profile=r.absorber_profile,
-            eit_reference=r.eit_reference,
-            flagged=r.flagged,
-        )
-        for r in records
-    ]
+    grid = spec.grid()
+    _, values, flagged = next(
+        _row_groups(scenario.eit, profile, grid, np.array([depth]), scenario.options.stokes_seed)
+    )
+    probe, stokes, shape, reference = values[:, 0]
+    peak = stokes.max(initial=0.0)  # flagged points are zero
+    if scenario.options.normalize_stokes == "max" and peak > 0.0:
+        stokes = stokes / peak
+    columns = (grid, probe, stokes, shape, reference, flagged[0])
+    return list(map(SpectrumRecord, *(c.tolist() for c in columns)))
 
 
 def _refined_peak(values: np.ndarray) -> float:
@@ -213,43 +187,27 @@ def _refined_peak(values: np.ndarray) -> float:
     return y1 - 0.125 * (y2 - y0) ** 2 / curv
 
 
+def _peak_record(depth: float, values: np.ndarray, flagged: np.ndarray) -> SpectrumRecord:
+    """Refined row peaks over the clean points, or over all points if none is clean."""
+    probe, stokes, shape, reference = values if flagged.all() else values[:, ~flagged]
+    return SpectrumRecord(
+        axis_value=depth,
+        probe_transmission=_refined_peak(probe),
+        stokes_output=_refined_peak(stokes),
+        absorber_profile=float(shape[np.argmax(probe)]),
+        eit_reference=_refined_peak(reference),
+        flagged=bool(flagged.any()),
+    )
+
+
 def peak_outputs(
     scenario: Scenario,
     depth_override: float,
     inner_spec: Optional[SweepSpec] = None,
 ) -> SpectrumRecord:
     """Detuning-maximized probe/Stokes outputs at one absorber depth."""
-    if inner_spec is None:
-        inner_spec = default_detuning_spec(scenario.eit)
-    profile = _shape_profile(scenario)
-    if profile is None:
-        if depth_override != 0.0:
-            raise DomainError(
-                "overriding the absorber depth requires an absorber section "
-                "with a derivable line shape"
-            )
-
-        def profile(delta: float) -> complex:
-            return 0j
-
-    seed = scenario.options.stokes_seed
-    eit = scenario.eit
-    grid = inner_spec.grid()
-    records = [_evaluate_point(eit, profile, depth_override, seed, float(d)) for d in grid]
-    flagged = any(r.flagged for r in records)
-    clean = [r for r in records if not r.flagged] or records
-    probe = np.array([r.probe_transmission for r in clean])
-    stokes = np.array([r.stokes_output for r in clean])
-    reference = np.array([r.eit_reference for r in clean])
-    i_probe = int(np.argmax(probe))
-    return SpectrumRecord(
-        axis_value=depth_override,
-        probe_transmission=_refined_peak(probe),
-        stokes_output=_refined_peak(stokes),
-        absorber_profile=clean[i_probe].absorber_profile,
-        eit_reference=_refined_peak(reference),
-        flagged=flagged,
-    )
+    one = SweepSpec(axis=DEPTH_AXIS, start=depth_override, stop=depth_override, points=1)
+    return sweep_absorber_depth(scenario, one, inner_spec=inner_spec)[0]
 
 
 def sweep_absorber_depth(
@@ -261,17 +219,27 @@ def sweep_absorber_depth(
     """Peak probe/Stokes outputs as a function of the effective absorber depth.
 
     The scenario's absorber sets the line shape; its effective depth is
-    replaced by each grid value in turn.
+    replaced by each grid value in turn.  workers is accepted for
+    compatibility and ignored, as in sweep_detuning.
     """
     if spec.axis != DEPTH_AXIS:
         raise DomainError(f"sweep_absorber_depth requires axis {DEPTH_AXIS!r}, got {spec.axis!r}")
     if inner_spec is None:
         inner_spec = default_detuning_spec(scenario.eit)
-
-    def point(depth: float) -> SpectrumRecord:
-        return peak_outputs(scenario, float(depth), inner_spec)
-
-    return _parallel_map(point, list(spec.grid()), workers)
+    depths = spec.grid()
+    profile = _shape_profile(scenario)
+    if profile is None:
+        if np.any(depths != 0.0):
+            raise DomainError(
+                "overriding the absorber depth requires an absorber section "
+                "with a derivable line shape"
+            )
+        profile = _no_loss
+    records = []
+    inner, seed = inner_spec.grid(), scenario.options.stokes_seed
+    for rows, values, flagged in _row_groups(scenario.eit, profile, inner, depths, seed):
+        records += map(_peak_record, rows.tolist(), values.swapaxes(0, 1), flagged)
+    return records
 
 
 def asymmetry_metric(records: Sequence[SpectrumRecord]) -> float:
@@ -295,6 +263,8 @@ def asymmetry_metric(records: Sequence[SpectrumRecord]) -> float:
 
 def count_peaks(records: Sequence[SpectrumRecord], rel_prominence: float = 1e-3) -> int:
     """Number of local maxima of the probe curve above a relative prominence floor."""
+    from scipy.signal import find_peaks  # slow to import; only this function needs it
+
     p = np.array([r.probe_transmission for r in records])
     peaks, _ = find_peaks(p, prominence=rel_prominence * float(p.max()))
     return int(peaks.size)

@@ -20,6 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, SingularityError, ValidationError, Violation
 from .model import AtomicLine, RamanAbsorber
 
@@ -60,17 +62,19 @@ def chi_abs(absorber: RamanAbsorber, line: AtomicLine, delta_2_probe: float) -> 
     """Full complex susceptibility of the absorber at probe two-photon detuning delta_2_probe.
 
     delta_2_probe is measured from the bare two-photon resonance; the actual
-    absorption peak sits near the light-shifted center.
+    absorption peak sits near the light-shifted center.  It may be a numpy
+    array: a vanishing denominator then leaves a non-finite value at that
+    point, where a scalar raises SingularityError.
     """
     if absorber.delta_2 == 0:
         raise ValidationError([Violation("delta_2", 0.0, "must be nonzero")])
     num = absorber.omega_a**2 / complex(absorber.delta_2, absorber.gamma_ac)
     den = (
-        complex(delta_2_probe + absorber.delta_2, -absorber.gamma_ab)
-        * complex(delta_2_probe, -absorber.gamma_cb)
+        (delta_2_probe + complex(absorber.delta_2, -absorber.gamma_ab))
+        * (delta_2_probe - 1j * absorber.gamma_cb)
         - absorber.omega_a**2
     )
-    if den == 0:
+    if not isinstance(den, np.ndarray) and den == 0:
         raise SingularityError(
             f"susceptibility denominator vanished at delta_2 = {delta_2_probe!r} MHz"
         )
@@ -165,6 +169,7 @@ def normalized_lineshape(response: AbsorberResponse, delta: float) -> complex:
 
     The real part is the (even) absorption profile, the imaginary part the
     (odd) dispersion; the loss entering propagation is depth_abs times this.
+    delta may be a numpy array.
     """
     g = response.hwhm
-    return 1j * g / complex(delta - response.center, g)
+    return 1j * g / ((delta - response.center) + 1j * g)

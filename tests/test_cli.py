@@ -109,6 +109,14 @@ class TestScanDetuning:
     def test_json_requires_out(self, capsys):
         assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--json"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flag, name", [("--json", "r.json"), ("--svg", "r.svg")])
+    def test_out_colliding_with_sidecar_rejected(self, tmp_path, capsys, flag, name):
+        out = tmp_path / name
+        code = main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out), flag])
+        assert code == EXIT_VALIDATION
+        assert "sidecar" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--workers", "1"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
@@ -241,6 +249,16 @@ class TestInvocation:
         )
         assert result.returncode == 0
         assert "n_fwm" in result.stdout
+
+    def test_import_leaves_scipy_integrate_and_signal_unloaded(self):
+        # each is needed by one function only and imports lazily there
+        code = (
+            "import sys, lambda_mixer; "
+            "print([m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules])"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lambda_mixer.errors import DomainError, IntegrationError, SingularityError
@@ -108,6 +109,88 @@ class TestExpm2:
         assert abs(ours[0, 0]) == pytest.approx(1.0, abs=1e-4)
 
 
+def assert_columns_match_scalar(got, scalar_fn, args):
+    """Each column of the array-branch result against the scalar branch, to 1e-12 of its scale."""
+    got = np.array(np.broadcast_arrays(*got))
+    for j, point in enumerate(args):
+        try:
+            want = np.array(scalar_fn(*point))
+        except (SingularityError, OverflowError):
+            assert not np.all(np.isfinite(got[:, j]))
+            continue
+        scale = np.abs(want).max()
+        assert np.abs(got[:, j] - want).max() <= 1e-12 * scale
+
+
+_entry = st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False)
+_real = st.floats(-30.0, 30.0)
+
+
+class TestArrayKernels:
+    """The broadcasting branch of the kernels against their scalar (cmath) branch."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(_entry, _entry, _entry, _entry), min_size=1, max_size=40))
+    def test_expm2_lossy(self, matrices):
+        assert_columns_match_scalar(expm2(*np.array(matrices).T), expm2, matrices)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(_real, _real), min_size=1, max_size=40))
+    def test_expm2_lossless(self, params):
+        # traceless Bogoliubov generators: q is real or imaginary, through zero
+        matrices = [(1j * a, 1j * th, -1j * th, -1j * a) for a, th in params]
+        assert_columns_match_scalar(expm2(*np.array(matrices).T), expm2, matrices)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(5e-4, 2e-3),
+                st.floats(0.0, 2.0 * math.pi),
+                st.floats(0.0, 1.0),
+                st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+                st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_expm2_straddles_series_threshold(self, params):
+        # |q| on both sides of the 1e-3 switch between series and cosh/sinh
+        matrices = []
+        for r, phase, t, mu, b in params:
+            q = cmath.rect(r, phase)
+            a = q * t
+            matrices.append((mu + a, b, q * q * (1.0 - t * t) / b, mu - a))
+        assert_columns_match_scalar(expm2(*np.array(matrices).T), expm2, matrices)
+
+    @settings(deadline=None)
+    @given(
+        st.floats(1.0, 1000.0),
+        st.floats(0.0, 1.0),
+        st.floats(100.0, 1e4),
+        st.sampled_from([-1.0, 1.0]),
+        st.one_of(st.just(0.0), st.floats(1.0, 200.0)),
+        st.floats(0.0, 50.0),
+        st.lists(
+            st.tuples(
+                st.floats(-1000.0, 1000.0),
+                st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_coupling_entries(self, g, gs, dl, sign, w, depth, points):
+        eit = EitMedium(gamma_ge=g, gamma_gs=gs, delta_control=sign * dl, omega_c=w, depth=depth)
+        deltas = np.array([d for d, _ in points])
+        losses = np.array([loss for _, loss in points])
+        with np.errstate(all="ignore"):
+            got = coupling_entries(eit, losses, deltas)
+        args = [(eit, loss, d) for d, loss in points]
+        assert_columns_match_scalar(got, coupling_entries, args)
+
+
 class TestPropagate:
     def test_zero_generator_is_identity(self):
         cm = CouplingMatrix(m=np.zeros((2, 2), complex), delta=0.0)
@@ -150,14 +233,14 @@ class TestPropagate:
             propagate(cm, FieldPair(1.0, 0.0), method="euler")
 
     def test_integration_failure_carries_last_zeta(self, sec5_eit, monkeypatch):
-        import lambda_mixer.propagation as prop
+        import scipy.integrate
 
         class FailedSolution:
             success = False
             message = "step size underflow"
             t = np.array([0.0, 0.37])
 
-        monkeypatch.setattr(prop, "solve_ivp", lambda *a, **k: FailedSolution())
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: FailedSolution())
         cm = build_coupling_matrix(sec5_eit)
         with pytest.raises(IntegrationError) as err:
             propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")

@@ -126,6 +126,22 @@ class TestParsing:
             parse_scenario_text(text)
         assert any(e.startswith("line 3:") and "gamma_ge" in e for e in err.value.errors)
 
+    def test_sweep_points_capped_without_building_the_grid(self, monkeypatch):
+        from lambda_mixer.model import MAX_SWEEP_POINTS, SweepSpec, validate
+
+        def no_grid(self):
+            raise AssertionError("validation must not build the grid")
+
+        monkeypatch.setattr(SweepSpec, "grid", no_grid)
+        text = GOOD.replace("points = 401", f"points = {10**12}")
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text)
+        assert any(
+            e.startswith("line 20:") and f"at most {MAX_SWEEP_POINTS}" in e for e in err.value.errors
+        )
+        largest = parse_scenario_text(GOOD.replace("points = 401", "points = 20001"))
+        assert validate(largest).sweep.points == 20001
+
     def test_inline_comment_with_hash_in_string(self):
         text = GOOD.replace('axis = "two-photon-detuning"', 'axis = "two-photon-detuning"  # axis')
         assert parse_scenario_text(text).sweep.axis == "two-photon-detuning"
