@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -72,6 +73,21 @@ def _fmt(x: float) -> str:
     # repr() of a Python float: shortest round-trip form, '.' decimal point,
     # lowercase 'e', locale-independent.
     return repr(float(x))
+
+
+def _json_safe(x):
+    """``x`` with each non-finite float spelled "inf", "-inf" or "nan", which JSON cannot hold."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else repr(float(x))
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json_safe(v) for v in x]
+    return x
+
+
+def _json_text(obj) -> str:
+    return json.dumps(_json_safe(obj), indent=2, allow_nan=False)
 
 
 def _build_parser() -> _Parser:
@@ -138,7 +154,7 @@ def _write_scan_outputs(
         sys.stdout.write(csv_text)
     if args.json:
         sidecar = Path(args.out).with_suffix(".json")
-        sidecar.write_text(json.dumps(_run_record(command, scenario, records), indent=2) + "\n")
+        sidecar.write_text(_json_text(_run_record(command, scenario, records)) + "\n")
     if args.svg:
         Path(args.out).with_suffix(".svg").write_text(render(records), encoding="utf-8")
     flagged = [r.axis_value for r in records if r.flagged]
@@ -219,7 +235,7 @@ def _cmd_design(args) -> int:
     scenario, path = _load(args)
     report = full_report(scenario)
     if args.json:
-        print(json.dumps(asdict(report), indent=2))
+        print(_json_text(asdict(report)))
     else:
         from .design import MUCH_GREATER_FACTOR
 

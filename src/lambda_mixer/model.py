@@ -7,13 +7,30 @@ cancels throughout.  Optical depths follow the amplitude convention: a
 resonant field amplitude decays as exp(-depth), its intensity as
 exp(-2*depth).  The propagation coordinate is normalized to zeta = z/L, so a
 physical length never appears downstream of the depths.
+
+The dataclasses below are the only declaration of a scenario field: its type
+(a ``Literal`` lists the allowed values of a choice field), whether it has a
+default, and its range rule, attached as ``field(metadata={"rule": ...})``.
+The scenario parser and :func:`validate` both read them through
+:func:`field_specs`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Literal, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import (
+    Callable,
+    Literal,
+    NamedTuple,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -21,14 +38,28 @@ from .errors import ValidationError, Violation
 
 C_LIGHT = 299_792_458.0  # m/s
 MHZ = 1e6  # Hz per MHz
+MAX_SWEEP_POINTS = 100_000  # bounds one sweep's output; a depth scan times its inner grid
 
 
-def mhz_to_ghz(x: float) -> float:
-    return x / 1000.0
+def _rule(check: Callable[[float], bool], constraint: str, **default):
+    """A dataclass field whose values must pass ``check``; ``constraint`` words a failure."""
+    return field(metadata={"rule": (check, constraint)}, **default)
 
 
-def ghz_to_mhz(x: float) -> float:
-    return x * 1000.0
+def _positive(**default):
+    return _rule(lambda x: x > 0, "must be positive", **default)
+
+
+def _nonnegative(**default):
+    return _rule(lambda x: x >= 0, "must be nonnegative", **default)
+
+
+def _nonzero(constraint: str = "must be nonzero", **default):
+    return _rule(lambda x: x != 0, constraint, **default)
+
+
+def _fraction(**default):
+    return _rule(lambda x: 0 < x < 1, "must lie strictly between 0 and 1", **default)
 
 
 @dataclass(frozen=True)
@@ -36,17 +67,17 @@ class EitMedium:
     """Rates, detuning, control Rabi frequency, and optical depth of the EIT/FWM lambda system.
 
     gamma_ge: optical coherence decay rate (MHz)
-    gamma_gs: ground-state spin decoherence rate (MHz)
+    gamma_gs: ground-state spin decoherence rate (MHz), at most gamma_ge
     delta_control: control detuning from the far optical transition (MHz)
     omega_c: control Rabi frequency (MHz)
     depth: resonant optical depth (amplitude convention, dimensionless)
     """
 
-    gamma_ge: float
-    gamma_gs: float
-    delta_control: float
-    omega_c: float
-    depth: float
+    gamma_ge: float = _positive()
+    gamma_gs: float = _nonnegative()
+    delta_control: float = _nonzero("must be nonzero (the FWM coupling divides by it)")
+    omega_c: float = _nonnegative()
+    depth: float = _nonnegative()
 
 
 @dataclass(frozen=True)
@@ -63,12 +94,12 @@ class RamanAbsorber:
         idler's FWM resonance (MHz); 0 means centered
     """
 
-    omega_a: float
-    delta_2: float
-    gamma_ab: float
-    gamma_ac: float
-    gamma_cb: float
-    depth_2l: float
+    omega_a: float = _nonnegative()
+    delta_2: float = _nonzero()
+    gamma_ab: float = _positive()
+    gamma_ac: float = _positive()
+    gamma_cb: float = _nonnegative()
+    depth_2l: float = _nonnegative()
     center_offset: float = 0.0
 
 
@@ -76,9 +107,9 @@ class RamanAbsorber:
 class AtomicLine:
     """Radiative rate (MHz), wavelength (nm), and density (atoms/cm^3) of the absorber line."""
 
-    gamma_r: float
-    wavelength: float
-    density: float
+    gamma_r: float = _positive()
+    wavelength: float = _positive()
+    density: float = _positive()
 
 
 @dataclass(frozen=True)
@@ -110,22 +141,20 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for one sweep axis."""
+    """Grid description for one sweep axis; start < stop, and start > 0 on a logarithmic scale."""
 
     axis: Literal["two-photon-detuning", "absorber-depth"]
     start: float
     stop: float
-    points: int
+    points: int = _rule(
+        lambda n: 2 <= n <= MAX_SWEEP_POINTS, f"must be at least 2 and at most {MAX_SWEEP_POINTS}"
+    )
     scale: Literal["linear", "logarithmic"] = "linear"
 
     def grid(self) -> np.ndarray:
         if self.scale == "logarithmic":
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
-
-
-_NORMALIZE_MODES = ("input", "max")
-MAX_SWEEP_POINTS = 100_000  # bounds one sweep's output; a depth scan times its inner grid
 
 
 @dataclass(frozen=True)
@@ -146,14 +175,14 @@ class ScanOptions:
         the EIT optical depth
     """
 
-    stokes_seed: float = 1.0
+    stokes_seed: float = _nonnegative(default=1.0)
     apply_light_shift: bool = True
     exact_absorber: bool = False
-    normalize_stokes: str = "input"
-    delta_a: Optional[float] = None
-    eit_fraction: Optional[float] = None
-    absorber_fraction: Optional[float] = None
-    target_depth_ratio: float = 1.1
+    normalize_stokes: Literal["input", "max"] = "input"
+    delta_a: Optional[float] = _nonzero("must be nonzero when given", default=None)
+    eit_fraction: Optional[float] = _fraction(default=None)
+    absorber_fraction: Optional[float] = _fraction(default=None)
+    target_depth_ratio: float = _positive(default=1.1)
 
 
 @dataclass(frozen=True)
@@ -182,154 +211,78 @@ def compute_optical_depth(g: float, n: float, length: float, gamma_ge: float) ->
     return (g * MHZ) ** 2 * n * length / (C_LIGHT * gamma_ge * MHZ)
 
 
-def _check_finite(violations: list, prefix: str, name: str, value: float) -> bool:
-    if isinstance(value, complex):
-        ok = math.isfinite(value.real) and math.isfinite(value.imag)
-    else:
-        ok = math.isfinite(value)
-    if not ok:
-        violations.append(Violation(f"{prefix}{name}", value, "must be finite"))
-    return ok
+class FieldSpec(NamedTuple):
+    """What a dataclass declares about one field, as the parser and the validator read it."""
+
+    name: str
+    type: type  # the value type with Optional removed; str for a Literal
+    required: bool  # the field has no default
+    choices: tuple  # the allowed values of a Literal field, else ()
+    rule: Optional[tuple[Callable, str]]  # (check, constraint) from the field's metadata
 
 
-def eit_violations(eit: EitMedium, prefix: str = "") -> list[Violation]:
+@cache
+def field_specs(cls: type) -> tuple[FieldSpec, ...]:
+    """The :class:`FieldSpec` of every field of dataclass ``cls``, in declaration order."""
+    hints = get_type_hints(cls)
+    specs = []
+    for f in fields(cls):
+        tp, choices = hints[f.name], ()
+        if get_origin(tp) is Union:  # Optional[X]
+            (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+        if get_origin(tp) is Literal:
+            tp, choices = str, get_args(tp)
+        required = f.default is MISSING and f.default_factory is MISSING
+        specs.append(FieldSpec(f.name, tp, required, choices, f.metadata.get("rule")))
+    return tuple(specs)
+
+
+def field_violations(obj, prefix: str = "") -> list[Violation]:
+    """Per-field violations of one dataclass instance: choices, finiteness, then its rule.
+
+    ``None`` (an absent optional value) and booleans are not checked.  A field
+    reports at most one violation.
+    """
     v: list[Violation] = []
-    fields = {
-        "gamma_ge": eit.gamma_ge,
-        "gamma_gs": eit.gamma_gs,
-        "delta_control": eit.delta_control,
-        "omega_c": eit.omega_c,
-        "depth": eit.depth,
-    }
-    finite = {k: _check_finite(v, prefix, k, x) for k, x in fields.items()}
-    if finite["gamma_ge"] and not eit.gamma_ge > 0:
-        v.append(Violation(prefix + "gamma_ge", eit.gamma_ge, "must be positive"))
-    if finite["gamma_gs"] and not eit.gamma_gs >= 0:
-        v.append(Violation(prefix + "gamma_gs", eit.gamma_gs, "must be nonnegative"))
-    if finite["gamma_ge"] and finite["gamma_gs"] and 0 < eit.gamma_ge < eit.gamma_gs:
-        v.append(
-            Violation(
-                prefix + "gamma_gs",
-                eit.gamma_gs,
-                "must not exceed gamma_ge (ordering of coherence decay rates)",
-            )
-        )
-    if finite["depth"] and not eit.depth >= 0:
-        v.append(Violation(prefix + "depth", eit.depth, "must be nonnegative"))
-    if finite["delta_control"] and eit.delta_control == 0:
-        v.append(
-            Violation(
-                prefix + "delta_control",
-                eit.delta_control,
-                "must be nonzero (the FWM coupling divides by it)",
-            )
-        )
-    if finite["omega_c"] and not eit.omega_c >= 0:
-        v.append(Violation(prefix + "omega_c", eit.omega_c, "must be nonnegative"))
-    return v
-
-
-def absorber_violations(a: RamanAbsorber, prefix: str = "") -> list[Violation]:
-    v: list[Violation] = []
-    fields = {
-        "omega_a": a.omega_a,
-        "delta_2": a.delta_2,
-        "gamma_ab": a.gamma_ab,
-        "gamma_ac": a.gamma_ac,
-        "gamma_cb": a.gamma_cb,
-        "depth_2l": a.depth_2l,
-        "center_offset": a.center_offset,
-    }
-    finite = {k: _check_finite(v, prefix, k, x) for k, x in fields.items()}
-    if finite["omega_a"] and not a.omega_a >= 0:
-        v.append(Violation(prefix + "omega_a", a.omega_a, "must be nonnegative"))
-    if finite["delta_2"] and a.delta_2 == 0:
-        v.append(Violation(prefix + "delta_2", a.delta_2, "must be nonzero"))
-    if finite["gamma_ab"] and not a.gamma_ab > 0:
-        v.append(Violation(prefix + "gamma_ab", a.gamma_ab, "must be positive"))
-    if finite["gamma_ac"] and not a.gamma_ac > 0:
-        v.append(Violation(prefix + "gamma_ac", a.gamma_ac, "must be positive"))
-    if finite["gamma_cb"] and not a.gamma_cb >= 0:
-        v.append(Violation(prefix + "gamma_cb", a.gamma_cb, "must be nonnegative"))
-    if finite["depth_2l"] and not a.depth_2l >= 0:
-        v.append(Violation(prefix + "depth_2l", a.depth_2l, "must be nonnegative"))
-    return v
-
-
-def line_violations(line: AtomicLine, prefix: str = "") -> list[Violation]:
-    v: list[Violation] = []
-    for name, value in (
-        ("gamma_r", line.gamma_r),
-        ("wavelength", line.wavelength),
-        ("density", line.density),
-    ):
-        if _check_finite(v, prefix, name, value) and not value > 0:
-            v.append(Violation(prefix + name, value, "must be positive"))
-    return v
-
-
-def field_pair_violations(fp: FieldPair, prefix: str = "") -> list[Violation]:
-    v: list[Violation] = []
-    _check_finite(v, prefix, "a_s", fp.a_s)
-    _check_finite(v, prefix, "a_i_dag", fp.a_i_dag)
-    return v
-
-
-def sweep_violations(spec: SweepSpec, prefix: str = "") -> list[Violation]:
-    v: list[Violation] = []
-    if spec.axis not in ("two-photon-detuning", "absorber-depth"):
-        v.append(Violation(prefix + "axis", spec.axis, "unknown sweep axis"))
-    if not spec.points >= 2:
-        v.append(Violation(prefix + "points", spec.points, "must be at least 2"))
-    elif spec.points > MAX_SWEEP_POINTS:
-        v.append(Violation(prefix + "points", spec.points, f"must be at most {MAX_SWEEP_POINTS}"))
-    if not spec.start < spec.stop:
-        v.append(Violation(prefix + "start", spec.start, "must be less than stop"))
-    if spec.scale not in ("linear", "logarithmic"):
-        v.append(Violation(prefix + "scale", spec.scale, "must be linear or logarithmic"))
-    elif spec.scale == "logarithmic" and not spec.start > 0:
-        v.append(
-            Violation(prefix + "start", spec.start, "must be positive on a logarithmic scale")
-        )
-    return v
-
-
-def options_violations(opt: ScanOptions, prefix: str = "") -> list[Violation]:
-    v: list[Violation] = []
-    if opt.normalize_stokes not in _NORMALIZE_MODES:
-        v.append(
-            Violation(
-                prefix + "normalize_stokes",
-                opt.normalize_stokes,
-                f"must be one of {_NORMALIZE_MODES}",
-            )
-        )
-    if not opt.stokes_seed >= 0:
-        v.append(Violation(prefix + "stokes_seed", opt.stokes_seed, "must be nonnegative"))
-    if opt.delta_a is not None and not (math.isfinite(opt.delta_a) and opt.delta_a != 0):
-        v.append(Violation(prefix + "delta_a", opt.delta_a, "must be finite and nonzero when given"))
-    for name, value in (
-        ("eit_fraction", opt.eit_fraction),
-        ("absorber_fraction", opt.absorber_fraction),
-    ):
-        if value is not None and not 0 < value < 1:
-            v.append(Violation(prefix + name, value, "must lie strictly between 0 and 1"))
-    if not (math.isfinite(opt.target_depth_ratio) and opt.target_depth_ratio > 0):
-        v.append(
-            Violation(prefix + "target_depth_ratio", opt.target_depth_ratio, "must be positive")
-        )
+    for name, _, _, choices, rule in field_specs(type(obj)):
+        value = getattr(obj, name)
+        if value is None or isinstance(value, bool):
+            continue
+        if choices and value not in choices:
+            constraint = f"must be one of {choices}"
+        elif isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            constraint = "must be finite"
+        elif rule is not None and not rule[0](value):
+            constraint = rule[1]
+        else:
+            continue
+        v.append(Violation(prefix + name, value, constraint))
     return v
 
 
 def scenario_violations(s: Scenario) -> list[Violation]:
-    v = eit_violations(s.eit, "eit.")
-    if s.absorber is not None:
-        v += absorber_violations(s.absorber, "absorber.")
-    if s.line is not None:
-        v += line_violations(s.line, "line.")
-    if s.sweep is not None:
-        v += sweep_violations(s.sweep, "sweep.")
-    v += options_violations(s.options, "options.")
+    """Every per-field violation of every section, then the rules that span fields."""
+    v: list[Violation] = []
+    for section in field_specs(Scenario):
+        obj = getattr(s, section.name)
+        if obj is not None:
+            v += field_violations(obj, section.name + ".")
+    if 0 < s.eit.gamma_ge < s.eit.gamma_gs < math.inf:
+        v.append(
+            Violation(
+                "eit.gamma_gs",
+                s.eit.gamma_gs,
+                "must not exceed gamma_ge (ordering of coherence decay rates)",
+            )
+        )
+    sweep = s.sweep
+    if sweep is not None and math.isfinite(sweep.start):
+        if math.isfinite(sweep.stop) and not sweep.start < sweep.stop:
+            v.append(Violation("sweep.start", sweep.start, "must be less than stop"))
+        if sweep.scale == "logarithmic" and not sweep.start > 0:
+            v.append(
+                Violation("sweep.start", sweep.start, "must be positive on a logarithmic scale")
+            )
     if s.options.exact_absorber and s.line is None:
         v.append(
             Violation(

@@ -17,60 +17,18 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import LambdaMixerError
-from .model import (
-    AtomicLine,
-    EitMedium,
-    RamanAbsorber,
-    ScanOptions,
-    Scenario,
-    SweepSpec,
-    scenario_violations,
-)
+from .model import Scenario, field_specs, scenario_violations
 
 _PACKAGED_DIR = Path(__file__).parent / "scenarios"
 SCENARIO_DIR_ENV = "LAMBDA_MIXER_SCENARIO_DIR"
 
-# (type, required) per key; "omega_a" etc. mirror the domain dataclasses.
-_SCHEMA: dict[str, dict[str, tuple[type, bool]]] = {
-    "eit": {
-        "gamma_ge": (float, True),
-        "gamma_gs": (float, True),
-        "delta_control": (float, True),
-        "omega_c": (float, True),
-        "depth": (float, True),
-    },
-    "absorber": {
-        "omega_a": (float, True),
-        "delta_2": (float, True),
-        "gamma_ab": (float, True),
-        "gamma_ac": (float, False),
-        "gamma_cb": (float, True),
-        "depth_2l": (float, True),
-        "center_offset": (float, False),
-    },
-    "line": {
-        "gamma_r": (float, True),
-        "wavelength": (float, True),
-        "density": (float, True),
-    },
-    "sweep": {
-        "axis": (str, True),
-        "start": (float, True),
-        "stop": (float, True),
-        "points": (int, True),
-        "scale": (str, False),
-    },
-    "options": {
-        "stokes_seed": (float, False),
-        "apply_light_shift": (bool, False),
-        "exact_absorber": (bool, False),
-        "normalize_stokes": (str, False),
-        "delta_a": (float, False),
-        "eit_fraction": (float, False),
-        "absorber_fraction": (float, False),
-        "target_depth_ratio": (float, False),
-    },
+# One section per Scenario field, one key per field of its dataclass.
+_SECTIONS = {section.name: section for section in field_specs(Scenario)}
+_SECTION_KEYS: dict[str, dict[str, tuple[type, bool]]] = {
+    name: {f.name: (f.type, f.required) for f in field_specs(section.type)}
+    for name, section in _SECTIONS.items()
 }
+_SECTION_KEYS["absorber"]["gamma_ac"] = (float, False)  # if omitted, it is set equal to gamma_ab
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
@@ -135,7 +93,7 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
         section_match = _SECTION_RE.match(line)
         if section_match:
             name = section_match.group(1)
-            if name not in _SCHEMA:
+            if name not in _SECTION_KEYS:
                 errors.append(f"line {lineno}: unknown section [{name}]")
                 current = None
                 continue
@@ -152,7 +110,7 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
         if current is None:
             errors.append(f"line {lineno}: key {key!r} appears outside any section")
             continue
-        schema = _SCHEMA[current]
+        schema = _SECTION_KEYS[current]
         if key not in schema:
             errors.append(f"line {lineno}: unknown key {key!r} in section [{current}]")
             continue
@@ -164,32 +122,19 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
             sections[current][key] = value
             key_lines[f"{current}.{key}"] = lineno
 
-    if "eit" not in sections:
-        errors.append("missing required section [eit]")
+    for name, section in _SECTIONS.items():
+        if section.required and name not in sections:
+            errors.append(f"missing required section [{name}]")
     for name, data in sections.items():
-        for key, (_, required) in _SCHEMA[name].items():
+        for key, (_, required) in _SECTION_KEYS[name].items():
             if required and key not in data:
                 errors.append(f"section [{name}] is missing required key {key!r}")
     if errors:
         raise ScenarioFileError(path, errors)
 
-    absorber = None
     if "absorber" in sections:
-        data = dict(sections["absorber"])
-        data.setdefault("gamma_ac", data["gamma_ab"])  # assumed equal when unspecified
-        absorber = RamanAbsorber(**data)
-    line = AtomicLine(**sections["line"]) if "line" in sections else None
-    sweep = None
-    if "sweep" in sections:
-        sweep = SweepSpec(**{"scale": "linear", **sections["sweep"]})
-    options = ScanOptions(**sections.get("options", {}))
-    scenario = Scenario(
-        eit=EitMedium(**sections["eit"]),
-        absorber=absorber,
-        line=line,
-        sweep=sweep,
-        options=options,
-    )
+        sections["absorber"].setdefault("gamma_ac", sections["absorber"]["gamma_ab"])
+    scenario = Scenario(**{name: _SECTIONS[name].type(**data) for name, data in sections.items()})
 
     for violation in scenario_violations(scenario):
         lineno = key_lines.get(violation.field)
@@ -232,12 +177,4 @@ def load_scenario(name: str) -> tuple[Scenario, Path]:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """JSON-ready snapshot of a scenario, omitting absent sections."""
-    out: dict = {"eit": asdict(scenario.eit)}
-    if scenario.absorber is not None:
-        out["absorber"] = asdict(scenario.absorber)
-    if scenario.line is not None:
-        out["line"] = asdict(scenario.line)
-    if scenario.sweep is not None:
-        out["sweep"] = asdict(scenario.sweep)
-    out["options"] = asdict(scenario.options)
-    return out
+    return {name: data for name, data in asdict(scenario).items() if data is not None}

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
+import lambda_mixer
 from lambda_mixer.cli import (
     DABS_CSV_HEADER,
     DETUNING_CSV_HEADER,
@@ -18,7 +21,27 @@ from lambda_mixer.cli import (
     main,
 )
 from lambda_mixer.design import full_report
-from lambda_mixer.scenario import load_scenario
+from lambda_mixer.scenario import load_scenario, resolve_scenario_path
+
+
+def shipped_with(tmp_path, name, old, new):
+    """Write shipped scenario ``name`` with line ``old`` replaced by ``new``; return its path."""
+    text = resolve_scenario_path(name).read_text()
+    assert old in text.splitlines()
+    path = tmp_path / f"{name}_edited.toml"
+    path.write_text(text.replace(old, new))
+    return path
+
+
+def run_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports the lambda_mixer under test."""
+    paths = [str(Path(lambda_mixer.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 BROKEN_SCENARIO = """\
 [eit]
@@ -86,6 +109,13 @@ class TestScanDetuning:
         err = capsys.readouterr().err
         assert "gamma_ge" in err and "omega_c" in err
 
+    def test_infinite_stokes_seed_rejected(self, tmp_path, capsys):
+        scenario = shipped_with(tmp_path, "fig4_dabs_0.83", "stokes_seed = 1.0", "stokes_seed = inf")
+        code = main(["scan-detuning", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert "options.stokes_seed = inf: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_json_sidecar_round_trips(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["scan-detuning", "--scenario", "fig4_dabs_41.6", "--out", str(out), "--json"]) == EXIT_OK
@@ -145,6 +175,13 @@ class TestScanDabs:
         _, data = read_csv(out)
         assert data.shape == (2, 4)
 
+    def test_infinite_sweep_stop_rejected(self, tmp_path, capsys):
+        scenario = shipped_with(tmp_path, "fig2_default", "stop = 100.0", "stop = inf")
+        code = main(["scan-dabs", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert "sweep.stop = inf: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         outputs = []
         for workers in ("1", "8"):
@@ -185,6 +222,20 @@ class TestDesign:
         parsed = json.loads(capsys.readouterr().out)
         scenario, _ = load_scenario("sec5_proposed_mix")
         assert parsed == asdict(full_report(scenario))
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("omega_c = 50.0", "omega_c = 0.0", "raman_x"),
+            ("depth = 15.0", "depth = 0.0", "bandwidth_rhs"),
+        ],
+    )
+    def test_json_is_strict_when_a_figure_is_infinite(self, tmp_path, capsys, old, new, key):
+        scenario = shipped_with(tmp_path, "sec5_proposed_mix", old, new)
+        code = main(["design", "--scenario", str(scenario), "--json"])
+        assert code == EXIT_DESIGN_FAIL
+        parsed = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert parsed[key] == "inf"
 
 
 class TestNoise:
@@ -242,11 +293,7 @@ class TestInvocation:
         assert out.exists()  # CSV still written for the good points
 
     def test_module_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "lambda_mixer", "noise", "--scenario", "sec5_proposed_mix"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_python("-m", "lambda_mixer", "noise", "--scenario", "sec5_proposed_mix")
         assert result.returncode == 0
         assert "n_fwm" in result.stdout
 
@@ -256,7 +303,7 @@ class TestInvocation:
             "import sys, lambda_mixer; "
             "print([m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules])"
         )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 

@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from typing import Optional, get_args, get_type_hints
 
 import pytest
 
@@ -6,6 +8,7 @@ from lambda_mixer.model import Scenario
 from lambda_mixer.scenario import (
     SCENARIO_DIR_ENV,
     ScenarioFileError,
+    _SECTION_KEYS,
     load_scenario,
     parse_scenario_text,
     resolve_scenario_path,
@@ -145,6 +148,121 @@ class TestParsing:
     def test_inline_comment_with_hash_in_string(self):
         text = GOOD.replace('axis = "two-photon-detuning"', 'axis = "two-photon-detuning"  # axis')
         assert parse_scenario_text(text).sweep.axis == "two-photon-detuning"
+
+    def test_choice_field_lists_allowed_values(self):
+        text = GOOD.replace("points = 401", 'points = 401\nscale = "log"')
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text)
+        assert err.value.errors == [
+            "line 21: sweep.scale = 'log': must be one of ('linear', 'logarithmic')"
+        ]
+
+
+# One valid value for every key of every section.
+COMPLETE = {
+    "eit": {
+        "gamma_ge": 300.0,
+        "gamma_gs": 0.064,
+        "delta_control": 3036.0,
+        "omega_c": 50.0,
+        "depth": 15.0,
+    },
+    "absorber": {
+        "omega_a": 100.0,
+        "delta_2": 14700.0,
+        "gamma_ab": 300.0,
+        "gamma_ac": 300.0,
+        "gamma_cb": 0.064,
+        "depth_2l": 85.0,
+        "center_offset": 0.0,
+    },
+    "line": {"gamma_r": 5.75, "wavelength": 795.0, "density": 3.4e12},
+    "sweep": {"axis": '"two-photon-detuning"', "start": -50.0, "stop": 50.0, "points": 401},
+    "options": {
+        "stokes_seed": 1.0,
+        "delta_a": 14677.0,
+        "eit_fraction": 0.15,
+        "absorber_fraction": 0.85,
+        "target_depth_ratio": 1.1,
+    },
+}
+
+
+def _numeric_keys():
+    """(section, key) of every float field of every section, read off the dataclasses."""
+    for section in fields(Scenario):
+        hint = get_type_hints(Scenario)[section.name]
+        cls = next(arg for arg in get_args(hint) or (hint,) if arg is not type(None))
+        for key, kind in get_type_hints(cls).items():
+            if kind in (float, Optional[float]):
+                yield section.name, key
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", list(_numeric_keys()))
+def test_nonfinite_value_rejected_with_line_number(section, key, value):
+    lines = []
+    for name, keys in COMPLETE.items():
+        lines.append(f"[{name}]")
+        # a key COMPLETE lacks, such as a newly added field, is appended to its section
+        overrides = {key: value} if name == section else {}
+        lines += [f"{k} = {v}" for k, v in {**keys, **overrides}.items()]
+    with pytest.raises(ScenarioFileError) as err:
+        parse_scenario_text("\n".join(lines) + "\n")
+    lineno = lines.index(f"{key} = {value}") + 1
+    expected = f"line {lineno}: {section}.{key} = {float(value)!r}: must be finite"
+    assert err.value.errors == [expected]
+
+
+# The parser's table before it was derived from the dataclasses, written out.
+PINNED_KEYS = {
+    "eit": {
+        "gamma_ge": (float, True),
+        "gamma_gs": (float, True),
+        "delta_control": (float, True),
+        "omega_c": (float, True),
+        "depth": (float, True),
+    },
+    "absorber": {
+        "omega_a": (float, True),
+        "delta_2": (float, True),
+        "gamma_ab": (float, True),
+        "gamma_ac": (float, False),
+        "gamma_cb": (float, True),
+        "depth_2l": (float, True),
+        "center_offset": (float, False),
+    },
+    "line": {
+        "gamma_r": (float, True),
+        "wavelength": (float, True),
+        "density": (float, True),
+    },
+    "sweep": {
+        "axis": (str, True),
+        "start": (float, True),
+        "stop": (float, True),
+        "points": (int, True),
+        "scale": (str, False),
+    },
+    "options": {
+        "stokes_seed": (float, False),
+        "apply_light_shift": (bool, False),
+        "exact_absorber": (bool, False),
+        "normalize_stokes": (str, False),
+        "delta_a": (float, False),
+        "eit_fraction": (float, False),
+        "absorber_fraction": (float, False),
+        "target_depth_ratio": (float, False),
+    },
+}
+
+
+def test_derived_schema_is_pinned():
+    # a field added to, removed from or retyped on a dataclass changes the file format
+    def ordered(table):
+        return [(name, list(keys.items())) for name, keys in table.items()]
+
+    assert ordered(_SECTION_KEYS) == ordered(PINNED_KEYS)
 
 
 class TestResolution:
