@@ -9,10 +9,10 @@ Subcommands::
 
 --workers is accepted and ignored: sweeps run as numpy blocks on one thread.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure, 3 I/O
-failure, 4 design infeasible.  Scenario arguments may be file paths or names
-of shipped scenarios; the LAMBDA_MIXER_SCENARIO_DIR environment variable
-prepends a search directory.
+Exit codes: 0 success, 1 validation failure, 2 numerical failure (flagged
+grid points or an overflow), 3 I/O failure, 4 design infeasible.  Scenario
+arguments may be file paths or names of shipped scenarios; the
+LAMBDA_MIXER_SCENARIO_DIR environment variable prepends a search directory.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ def _write_scan_outputs(
     flagged = [r.axis_value for r in records if r.flagged]
     if flagged:
         print(
-            f"warning: {len(flagged)} grid point(s) failed numerically: {flagged}",
+            f"warning: {len(flagged)} of {len(records)} grid point(s) failed numerically "
+            f"(axis {min(flagged):.6g} .. {max(flagged):.6g})",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
@@ -303,6 +304,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     except (SingularityError, IntegrationError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"numerical overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(str(exc), file=sys.stderr)

@@ -19,11 +19,9 @@ from dataclasses import dataclass, replace
 from .errors import DomainError, InfeasibleTargetError, ValidationError, Violation
 from .model import EitMedium, RamanAbsorber, Scenario, validate
 from .propagation import noise_suppression_ratio
-from .susceptibility import effective_depth, two_photon_width
+from .susceptibility import two_photon_width
 
 MUCH_GREATER_FACTOR = 10.0
-
-_BISECT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,10 @@ def fwm_strength(eit: EitMedium) -> float:
 def solve_omega_a(absorber: RamanAbsorber, target_d_abs: float) -> float:
     """Raman control Rabi frequency reaching a target effective depth.
 
-    Inverts the effective-depth relation by bisection to 1e-12 relative; the
-    target must stay below the depth_2l saturation ceiling.
+    Inverts D = u / (gamma_cb + u) * depth_2l, u = gamma_ab * omega_a^2 / delta_2^2,
+    in closed form: u = gamma_cb * D / (depth_2l - D) and
+    omega_a = |delta_2| * sqrt(u / gamma_ab).  The target must stay below the
+    depth_2l saturation ceiling.
     """
     if target_d_abs < 0:
         raise DomainError("target depth must be nonnegative")
@@ -82,21 +82,11 @@ def solve_omega_a(absorber: RamanAbsorber, target_d_abs: float) -> float:
             "with gamma_cb = 0 the effective depth equals depth_2l for any "
             "nonzero omega_a; there is nothing to invert"
         )
-    hi = abs(absorber.delta_2) * 1e-6
-    for _ in range(80):
-        if effective_depth(replace(absorber, omega_a=hi)) > target_d_abs:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleTargetError(f"no omega_a below {hi:g} MHz reaches {target_d_abs:g}")
-    lo = 0.0
-    while hi - lo > _BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if effective_depth(replace(absorber, omega_a=mid)) < target_d_abs:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    u = absorber.gamma_cb * target_d_abs / (absorber.depth_2l - target_d_abs)
+    omega_a = abs(absorber.delta_2) * math.sqrt(u / absorber.gamma_ab)
+    if not math.isfinite(omega_a):
+        raise InfeasibleTargetError(f"the omega_a reaching {target_d_abs:g} overflows a float")
+    return omega_a
 
 
 def bandwidth_check(absorber: RamanAbsorber, eit: EitMedium) -> tuple[float, float, bool]:
@@ -167,7 +157,7 @@ def full_report(scenario: Scenario) -> DesignReport:
 
     rabi_lower, rabi_upper, rabi_ok = rabi_window(eit)
     strength = fwm_strength(eit)
-    omega_a_required = solve_omega_a(absorber, target) if target > 0 else 0.0
+    omega_a_required = solve_omega_a(absorber, target)
     lhs, rhs, bandwidth_ok = bandwidth_check(absorber, eit)
     noise = noise_suppression_ratio(eit, target) if target > 0 else 0.0
     x = raman_scatter_strength(eit, absorber, scenario.options.delta_a)

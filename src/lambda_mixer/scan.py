@@ -260,11 +260,3 @@ def asymmetry_metric(records: Sequence[SpectrumRecord]) -> float:
         return 0.0
     return float(np.sum(np.abs(p - q)) / mass)
 
-
-def count_peaks(records: Sequence[SpectrumRecord], rel_prominence: float = 1e-3) -> int:
-    """Number of local maxima of the probe curve above a relative prominence floor."""
-    from scipy.signal import find_peaks  # slow to import; only this function needs it
-
-    p = np.array([r.probe_transmission for r in records])
-    peaks, _ = find_peaks(p, prominence=rel_prominence * float(p.max()))
-    return int(peaks.size)

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from lambda_mixer.model import AtomicLine, EitMedium, RamanAbsorber
 
@@ -23,3 +25,15 @@ def sec5_absorber() -> RamanAbsorber:
 @pytest.fixture
 def rb_line() -> AtomicLine:
     return AtomicLine(gamma_r=5.75, wavelength=795.0, density=3.4e12)
+
+
+@pytest.fixture
+def count_peaks():
+    """Counts the local maxima of a sweep's probe curve above a relative prominence floor."""
+
+    def count(records, rel_prominence=1e-3):
+        p = np.array([r.probe_transmission for r in records])
+        peaks, _ = find_peaks(p, prominence=rel_prominence * float(p.max()))
+        return int(peaks.size)
+
+    return count

@@ -21,7 +21,6 @@ from lambda_mixer.propagation import (
 )
 from lambda_mixer.scan import (
     asymmetry_metric,
-    count_peaks,
     peak_outputs,
     sweep_absorber_depth,
     sweep_detuning,
@@ -109,7 +108,7 @@ def test_criterion_06_fig2_reproduction():
     _verdict(6, f"fig2 anchors (gain 2.0, EIT 0.95), monotone Stokes, sweep in {elapsed:.2f}s")
 
 
-def test_criterion_07_fig4_qualitative():
+def test_criterion_07_fig4_qualitative(count_peaks):
     metrics = []
     for name in ("0.83", "4.16", "41.6"):
         scenario, _ = load_scenario(f"fig4_dabs_{name}")

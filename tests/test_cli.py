@@ -16,6 +16,7 @@ from lambda_mixer.cli import (
     DETUNING_CSV_HEADER,
     EXIT_DESIGN_FAIL,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
@@ -289,8 +290,32 @@ class TestInvocation:
         out = tmp_path / "flagged.csv"
         code = main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
-        assert "failed numerically" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["warning: 1 of 1 grid point(s) failed numerically (axis 0 .. 0)"]
         assert out.exists()  # CSV still written for the good points
+
+    def test_overflowing_sweep_warns_in_one_line(self, tmp_path, capsys):
+        scenario = shipped_with(
+            tmp_path, "sec5_proposed_mix", "delta_control = 3036.0", "delta_control = 3.0"
+        )
+        out = tmp_path / "overflow.csv"
+        code = main(["scan-detuning", "--scenario", str(scenario), "--out", str(out), "--json"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: 401 of 401 grid point(s) failed numerically (axis ")
+        assert len(json.loads(out.with_suffix(".json").read_text())["flagged_points"]) == 401
+
+    @pytest.mark.parametrize("command", ["noise", "design"])
+    def test_overflow_exits_numerical_without_traceback(self, tmp_path, command):
+        scenario = shipped_with(
+            tmp_path, "sec5_proposed_mix", "delta_control = 3036.0", "delta_control = 3.0"
+        )
+        result = run_python("-m", "lambda_mixer", command, "--scenario", str(scenario))
+        assert result.returncode == EXIT_NUMERICAL
+        assert len(result.stderr.splitlines()) == 1
+        assert "overflow" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_module_entry_point(self, tmp_path):
         result = run_python("-m", "lambda_mixer", "noise", "--scenario", "sec5_proposed_mix")
@@ -298,7 +323,7 @@ class TestInvocation:
         assert "n_fwm" in result.stdout
 
     def test_import_leaves_scipy_integrate_and_signal_unloaded(self):
-        # each is needed by one function only and imports lazily there
+        # only method="adaptive-rk" imports scipy.integrate, lazily; no library code uses scipy.signal
         code = (
             "import sys, lambda_mixer; "
             "print([m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules])"

@@ -1,7 +1,8 @@
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lambda_mixer.design import (
     bandwidth_check,
@@ -13,7 +14,7 @@ from lambda_mixer.design import (
     solve_omega_a,
 )
 from lambda_mixer.errors import DomainError, InfeasibleTargetError, ValidationError
-from lambda_mixer.model import EitMedium, ScanOptions, Scenario
+from lambda_mixer.model import EitMedium, RamanAbsorber, ScanOptions, Scenario
 from lambda_mixer.scenario import load_scenario
 from lambda_mixer.susceptibility import effective_depth
 
@@ -75,18 +76,52 @@ class TestSolveOmegaA:
         for target in (0.5, 5.0, 16.5, 60.0, 84.0):
             omega = solve_omega_a(sec5_absorber, target)
             assert effective_depth(replace(sec5_absorber, omega_a=omega)) == pytest.approx(
-                target, rel=1e-6
+                target, rel=1e-12
             )
 
     @given(st.floats(min_value=1e-3, max_value=84.9))
     def test_round_trip_property(self, target):
-        from lambda_mixer.model import RamanAbsorber
-
         absorber = RamanAbsorber(
             omega_a=0.0, delta_2=14700.0, gamma_ab=300.0, gamma_ac=300.0, gamma_cb=0.064, depth_2l=85.0
         )
         omega = solve_omega_a(absorber, target)
-        assert effective_depth(replace(absorber, omega_a=omega)) == pytest.approx(target, rel=1e-6)
+        assert effective_depth(replace(absorber, omega_a=omega)) == pytest.approx(target, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, omega_a",
+        [("sec5_proposed_mix", 105.37640561965016), ("sec5_as_performed", 38.327880630904346)],
+    )
+    def test_sec5_reports_pinned(self, name, omega_a):
+        scenario, _ = load_scenario(name)
+        assert full_report(scenario).omega_a_required == pytest.approx(omega_a, rel=1e-12)
+
+    @given(
+        st.floats(min_value=1.0, max_value=1e6),
+        st.floats(min_value=1e-3, max_value=1e4),
+        st.floats(min_value=1e-5, max_value=1e3),
+        st.floats(min_value=1e-2, max_value=1e3),
+        st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
+    )
+    def test_matches_high_precision_inverse(self, delta_2, gamma_ab, gamma_cb, depth_2l, fraction):
+        absorber = RamanAbsorber(
+            omega_a=0.0, delta_2=delta_2, gamma_ab=gamma_ab, gamma_ac=1.0, gamma_cb=gamma_cb, depth_2l=depth_2l
+        )
+        target = fraction * depth_2l
+        assume(target < depth_2l)
+        # the same inverse in 50-digit decimals; holds to a few ulp even next to the ceiling
+        with localcontext() as ctx:
+            ctx.prec = 50
+            d = Decimal(target)
+            u = Decimal(gamma_cb) * d / (Decimal(depth_2l) - d)
+            exact = float(Decimal(delta_2) * (u / Decimal(gamma_ab)).sqrt())
+        assert solve_omega_a(absorber, target) == pytest.approx(exact, rel=1e-15)
+
+    def test_overflowing_omega_a_infeasible(self):
+        absorber = RamanAbsorber(
+            omega_a=0.0, delta_2=14700.0, gamma_ab=1e-300, gamma_ac=300.0, gamma_cb=1e10, depth_2l=85.0
+        )
+        with pytest.raises(InfeasibleTargetError):
+            solve_omega_a(absorber, 84.9)
 
     def test_degenerate_spin_decay_not_invertible(self, sec5_absorber):
         with pytest.raises(DomainError):
@@ -151,8 +186,6 @@ class TestFullReport:
 
     def test_all_zero_couplings_trivial(self):
         eit = EitMedium(gamma_ge=300.0, gamma_gs=0.064, delta_control=3036.0, omega_c=0.0, depth=0.0)
-        from lambda_mixer.model import RamanAbsorber
-
         absorber = RamanAbsorber(
             omega_a=0.0, delta_2=14700.0, gamma_ab=300.0, gamma_ac=300.0, gamma_cb=0.064, depth_2l=85.0
         )

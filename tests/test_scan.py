@@ -12,7 +12,6 @@ from lambda_mixer.scan import (
     SpectrumRecord,
     absorber_loss_profile,
     asymmetry_metric,
-    count_peaks,
     default_detuning_spec,
     eit_linewidth,
     peak_outputs,
@@ -44,12 +43,12 @@ class TestDetuningSweep:
             assert record.probe_transmission == pytest.approx(expected, rel=1e-12)
             assert record.stokes_output == pytest.approx(1.0, rel=1e-12)
 
-    def test_multi_peaked_fwm_regime(self, fig4_scenarios):
+    def test_multi_peaked_fwm_regime(self, fig4_scenarios, count_peaks):
         scenario = replace(fig4_scenarios["41.6"], absorber=None)
         records = sweep_detuning(scenario)
         assert count_peaks(records) >= 2
 
-    def test_largest_depth_single_peaked_and_symmetric(self, fig4_scenarios):
+    def test_largest_depth_single_peaked_and_symmetric(self, fig4_scenarios, count_peaks):
         records = sweep_detuning(fig4_scenarios["41.6"])
         assert count_peaks(records) == 1
         assert asymmetry_metric(records) < 0.05
