@@ -23,10 +23,11 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, svgplot
 from .design import full_report
 from .errors import (
     DomainError,
@@ -46,7 +47,6 @@ from .scan import (
 )
 from .scenario import ScenarioFileError, load_scenario, scenario_to_dict
 from .susceptibility import effective_depth
-from .svgplot import render_depth_scan, render_detuning_scan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -102,12 +102,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="also write a run-record JSON sidecar")
         p.add_argument("--svg", action="store_true", help="also render an SVG plot")
         p.add_argument("--workers", type=int, help="ignored; kept so existing scripts still run")
-        return p
+        p.set_defaults(func=_cmd_scan)
 
-    add_scan("scan-detuning", "transmission spectra versus two-photon detuning").set_defaults(
-        func=_cmd_scan_detuning
-    )
-    add_scan("scan-dabs", "peak outputs versus absorber depth").set_defaults(func=_cmd_scan_dabs)
+    add_scan("scan-detuning", "transmission spectra versus two-photon detuning")
+    add_scan("scan-dabs", "peak outputs versus absorber depth")
 
     p_design = sub.add_parser("design", help="feasibility report for a scenario")
     p_design.add_argument("--scenario", required=True)
@@ -132,40 +130,9 @@ def _run_record(command: str, scenario: Scenario, records: Sequence[SpectrumReco
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "scenario": scenario_to_dict(scenario),
-        "results": [asdict(r) for r in records],
+        "results": [r._asdict() for r in records],
         "flagged_points": [r.axis_value for r in records if r.flagged],
     }
-
-
-def _write_scan_outputs(
-    args,
-    command: str,
-    scenario: Scenario,
-    records: Sequence[SpectrumRecord],
-    header: str,
-    to_row,
-    render,
-) -> int:
-    lines = [header] + [to_row(r) for r in records]
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
-    else:
-        sys.stdout.write(csv_text)
-    if args.json:
-        sidecar = Path(args.out).with_suffix(".json")
-        sidecar.write_text(_json_text(_run_record(command, scenario, records)) + "\n")
-    if args.svg:
-        Path(args.out).with_suffix(".svg").write_text(render(records), encoding="utf-8")
-    flagged = [r.axis_value for r in records if r.flagged]
-    if flagged:
-        print(
-            f"warning: {len(flagged)} of {len(records)} grid point(s) failed numerically "
-            f"(axis {min(flagged):.6g} .. {max(flagged):.6g})",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 def _check_out(args) -> None:
@@ -176,56 +143,66 @@ def _check_out(args) -> None:
         raise _UsageError(f"--out {args.out} is also the {suffix} sidecar path; pick another")
 
 
-def _cmd_scan_detuning(args) -> int:
-    _check_out(args)
-    scenario, _ = _load(args)
-    spec = scenario.sweep if scenario.sweep and scenario.sweep.axis == DETUNING_AXIS else None
-    records = sweep_detuning(scenario, spec)
-    return _write_scan_outputs(
-        args,
-        "scan-detuning",
-        scenario,
-        records,
+def _reject_scenario_overwrite(args, scenario_path: Path) -> None:
+    if not args.out:
+        return
+    out = Path(args.out)
+    sidecars = ((".json", args.json), (".svg", args.svg))
+    for path in [out] + [out.with_suffix(suffix) for suffix, on in sidecars if on]:
+        if path.resolve() == scenario_path.resolve():
+            raise _UsageError(f"{path} is the scenario file being read; pick another --out")
+
+
+# command -> (CSV header, SpectrumRecord fields per CSV row, svgplot renderer)
+_SCANS = {
+    "scan-detuning": (
         DETUNING_CSV_HEADER,
-        lambda r: ",".join(
-            (
-                _fmt(r.axis_value),
-                _fmt(r.probe_transmission),
-                _fmt(r.stokes_output),
-                _fmt(r.absorber_profile),
-                _fmt(r.eit_reference),
-            )
-        ),
-        render_detuning_scan,
-    )
-
-
-def _cmd_scan_dabs(args) -> int:
-    _check_out(args)
-    scenario, _ = _load(args)
-    spec = (
-        scenario.sweep
-        if scenario.sweep and scenario.sweep.axis == DEPTH_AXIS
-        else DEFAULT_DABS_SPEC
-    )
-    inner = default_detuning_spec(scenario.eit)
-    records = sweep_absorber_depth(scenario, spec, inner_spec=inner)
-    return _write_scan_outputs(
-        args,
-        "scan-dabs",
-        scenario,
-        records,
+        ("axis_value", "probe_transmission", "stokes_output", "absorber_profile", "eit_reference"),
+        "render_detuning_scan",
+    ),
+    "scan-dabs": (
         DABS_CSV_HEADER,
-        lambda r: ",".join(
-            (
-                _fmt(r.axis_value),
-                _fmt(r.probe_transmission),
-                _fmt(r.stokes_output),
-                _fmt(r.eit_reference),
-            )
-        ),
-        render_depth_scan,
-    )
+        ("axis_value", "probe_transmission", "stokes_output", "eit_reference"),
+        "render_depth_scan",
+    ),
+}
+
+
+def _cmd_scan(args) -> int:
+    _check_out(args)
+    scenario, path = _load(args)
+    _reject_scenario_overwrite(args, path)
+    header, names, renderer = _SCANS[args.command]
+    sweep = scenario.sweep
+    if args.command == "scan-detuning":
+        spec = sweep if sweep and sweep.axis == DETUNING_AXIS else None
+        records = sweep_detuning(scenario, spec)
+    else:
+        spec = sweep if sweep and sweep.axis == DEPTH_AXIS else DEFAULT_DABS_SPEC
+        inner = default_detuning_spec(scenario.eit)
+        records = sweep_absorber_depth(scenario, spec, inner_spec=inner)
+    row = attrgetter(*names)
+    csv_text = "\n".join([header] + [",".join(map(_fmt, row(r))) for r in records]) + "\n"
+    if args.out:
+        Path(args.out).write_text(csv_text, encoding="utf-8")
+    else:
+        sys.stdout.write(csv_text)
+    if args.json:
+        sidecar = Path(args.out).with_suffix(".json")
+        sidecar.write_text(_json_text(_run_record(args.command, scenario, records)) + "\n")
+    if args.svg:
+        # looked up per call, so a rebinding of the svgplot function is honoured
+        render = getattr(svgplot, renderer)
+        Path(args.out).with_suffix(".svg").write_text(render(records), encoding="utf-8")
+    flagged = [r.axis_value for r in records if r.flagged]
+    if flagged:
+        print(
+            f"warning: {len(flagged)} of {len(records)} grid point(s) failed numerically "
+            f"(axis {min(flagged):.6g} .. {max(flagged):.6g})",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _verdict(ok: bool) -> str:

@@ -53,11 +53,6 @@ class TransferMatrix:
     def __post_init__(self):
         object.__setattr__(self, "t", _frozen_2x2(self.t))
 
-    def apply(self, fields: FieldPair) -> FieldPair:
-        a_s = self.t[0, 0] * fields.a_s + self.t[0, 1] * fields.a_i_dag
-        a_i = self.t[1, 0] * fields.a_s + self.t[1, 1] * fields.a_i_dag
-        return FieldPair(complex(a_s), complex(a_i))
-
 
 def coupling_entries(
     eit: EitMedium, absorber_loss: complex = 0j, delta: float = 0.0
@@ -139,22 +134,10 @@ def expm2(
     return c + s * a, s * m01, s * m10, c - s * a
 
 
-def transfer_matrix(matrix: CouplingMatrix) -> TransferMatrix:
-    """Exponential of the coupling matrix over the full medium."""
-    t00, t01, t10, t11 = expm2(
-        complex(matrix.m[0, 0]),
-        complex(matrix.m[0, 1]),
-        complex(matrix.m[1, 0]),
-        complex(matrix.m[1, 1]),
-    )
-    return TransferMatrix(t=np.array([[t00, t01], [t10, t11]]), delta=matrix.delta)
-
-
-def _transfer_adaptive(matrix: CouplingMatrix) -> TransferMatrix:
+def _transfer_adaptive(m: np.ndarray) -> np.ndarray:
     # imported here: slower to import than the whole package, and only this needs it
     from scipy.integrate import solve_ivp
 
-    m = np.asarray(matrix.m, dtype=complex)
     columns = []
     for basis in (np.array([1.0 + 0j, 0j]), np.array([0j, 1.0 + 0j])):
         sol = solve_ivp(
@@ -171,7 +154,7 @@ def _transfer_adaptive(matrix: CouplingMatrix) -> TransferMatrix:
                 last_zeta=float(sol.t[-1]) if sol.t.size else 0.0,
             )
         columns.append(sol.y[:, -1])
-    return TransferMatrix(t=np.column_stack(columns), delta=matrix.delta)
+    return np.column_stack(columns)
 
 
 def propagate(
@@ -186,12 +169,15 @@ def propagate(
     constant-coefficient system and agree to better than 1e-8 relative.
     """
     if method.lower() == MATRIX_EXPONENTIAL:
-        t = transfer_matrix(matrix)
+        t00, t01, t10, t11 = expm2(*matrix.m.ravel().tolist())
     elif method.lower() == ADAPTIVE_RK:
-        t = _transfer_adaptive(matrix)
+        t00, t01, t10, t11 = _transfer_adaptive(matrix.m).ravel().tolist()
     else:
         raise ValueError(f"unknown propagation method {method!r}")
-    return t.apply(fields), t
+    out = FieldPair(
+        t00 * fields.a_s + t01 * fields.a_i_dag, t10 * fields.a_s + t11 * fields.a_i_dag
+    )
+    return out, TransferMatrix(t=[[t00, t01], [t10, t11]], delta=matrix.delta)
 
 
 def analytic_resonant_output(eit: EitMedium, fields: FieldPair) -> FieldPair:

@@ -9,8 +9,7 @@ singular denominator or an overflow) is flagged and zeroed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +32,7 @@ DEFAULT_WINDOW_WIDTHS = 20.0
 BLOCK = 4096  # grid points per numpy pass
 
 
-@dataclass(frozen=True)
-class SpectrumRecord:
+class SpectrumRecord(NamedTuple):
     """One grid point of a sweep.
 
     For detuning sweeps the axis value is the two-photon detuning (MHz); for
@@ -63,39 +61,6 @@ def default_detuning_spec(eit: EitMedium, points: int = DEFAULT_DETUNING_POINTS)
     return SweepSpec(axis=DETUNING_AXIS, start=-half, stop=half, points=points)
 
 
-def _shape_profile(scenario: Scenario) -> Optional[Callable[[float], complex]]:
-    """Peak-normalized complex absorber shape, or None when none is derivable."""
-    absorber = scenario.absorber
-    if absorber is None:
-        return None
-    depth = effective_depth(absorber)
-    if scenario.options.exact_absorber:
-        line = scenario.line
-        if line is None:
-            raise DomainError("the exact absorber profile requires atomic line data")
-        if depth == 0.0:  # nothing to normalize the susceptibility against
-            return None
-        scale = susceptibility_depth_scale(absorber, line)
-        shift = light_shift(absorber)
-        center = absorber.center_offset + (shift if scenario.options.apply_light_shift else 0.0)
-        # the full susceptibility peaks at the light-shifted two-photon
-        # resonance; translate it so the peak sits at the configured center
-        # (turning the shift off models retuning the Raman control)
-        offset = shift - center
-
-        def profile(delta: float) -> complex:
-            # conj(-i * chi) is the loss seen by the conjugated idler.
-            return 1j * chi_abs(absorber, line, delta + offset).conjugate() * scale / depth
-
-        return profile
-    try:
-        return absorber_response(absorber, scenario.options.apply_light_shift).lineshape
-    except DomainError:
-        if depth == 0.0:  # degenerate width but lossless; harmless
-            return None
-        raise
-
-
 def _no_loss(delta):
     return 0j  # broadcasts against any detuning array
 
@@ -108,12 +73,38 @@ def absorber_loss_profile(
     The profile is oriented for the conjugated-idler equation: its value is 1
     at the line center and its conjugate is the physical idler response.  The
     loss subtracted from the idler diagonal is depth times the profile.  The
-    profile takes a detuning or a numpy array of them.
+    profile takes a detuning or a numpy array of them.  Without a derivable
+    line shape the result is (_no_loss, 0.0).
     """
-    profile = _shape_profile(scenario)
-    if profile is None:
+    absorber = scenario.absorber
+    if absorber is None:
         return _no_loss, 0.0
-    return profile, effective_depth(scenario.absorber)
+    depth = effective_depth(absorber)
+    if scenario.options.exact_absorber:
+        line = scenario.line
+        if line is None:
+            raise DomainError("the exact absorber profile requires atomic line data")
+        if depth == 0.0:  # nothing to normalize the susceptibility against
+            return _no_loss, 0.0
+        scale = susceptibility_depth_scale(absorber, line)
+        shift = light_shift(absorber)
+        center = absorber.center_offset + (shift if scenario.options.apply_light_shift else 0.0)
+        # the full susceptibility peaks at the light-shifted two-photon
+        # resonance; translate it so the peak sits at the configured center
+        # (turning the shift off models retuning the Raman control)
+        offset = shift - center
+
+        def profile(delta: float) -> complex:
+            # conj(-i * chi) is the loss seen by the conjugated idler.
+            return 1j * chi_abs(absorber, line, delta + offset).conjugate() * scale / depth
+
+        return profile, depth
+    try:
+        return absorber_response(absorber, scenario.options.apply_light_shift).lineshape, depth
+    except DomainError:
+        if depth == 0.0:  # degenerate width but lossless; harmless
+            return _no_loss, 0.0
+        raise
 
 
 def _row_groups(eit: EitMedium, profile, deltas, depths, seed: float) -> Iterator[tuple]:
@@ -227,14 +218,12 @@ def sweep_absorber_depth(
     if inner_spec is None:
         inner_spec = default_detuning_spec(scenario.eit)
     depths = spec.grid()
-    profile = _shape_profile(scenario)
-    if profile is None:
-        if np.any(depths != 0.0):
-            raise DomainError(
-                "overriding the absorber depth requires an absorber section "
-                "with a derivable line shape"
-            )
-        profile = _no_loss
+    profile, _ = absorber_loss_profile(scenario)
+    if profile is _no_loss and np.any(depths != 0.0):
+        raise DomainError(
+            "overriding the absorber depth requires an absorber section "
+            "with a derivable line shape"
+        )
     records = []
     inner, seed = inner_spec.grid(), scenario.options.stokes_seed
     for rows, values, flagged in _row_groups(scenario.eit, profile, inner, depths, seed):

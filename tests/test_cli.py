@@ -22,6 +22,8 @@ from lambda_mixer.cli import (
     main,
 )
 from lambda_mixer.design import full_report
+from lambda_mixer.model import validate
+from lambda_mixer.scan import default_detuning_spec, sweep_absorber_depth, sweep_detuning
 from lambda_mixer.scenario import load_scenario, resolve_scenario_path
 
 
@@ -117,16 +119,6 @@ class TestScanDetuning:
         assert "options.stokes_seed = inf: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_json_sidecar_round_trips(self, tmp_path):
-        out = tmp_path / "scan.csv"
-        assert main(["scan-detuning", "--scenario", "fig4_dabs_41.6", "--out", str(out), "--json"]) == EXIT_OK
-        record = json.loads((tmp_path / "scan.json").read_text())
-        assert json.loads(json.dumps(record)) == record
-        assert record["command"] == "scan-detuning"
-        assert record["flagged_points"] == []
-        assert len(record["results"]) == 401
-        assert record["scenario"]["eit"]["omega_c"] == 50.0
-
     def test_svg_written(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out), "--svg"]) == EXIT_OK
@@ -198,6 +190,60 @@ class TestScanDabs:
         assert main(["scan-dabs", "--scenario", "fig2_default", "--out", str(out), "--svg"]) == EXIT_OK
         svg = (tmp_path / "fig2.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+RECORD_FIELDS = (
+    "axis_value",
+    "probe_transmission",
+    "stokes_output",
+    "absorber_profile",
+    "eit_reference",
+    "flagged",
+)
+
+
+class TestScanCommands:
+    @pytest.mark.parametrize(
+        "command, name, rows",
+        [("scan-detuning", "fig4_dabs_41.6", 401), ("scan-dabs", "fig2_default", 60)],
+        ids=["scan-detuning", "scan-dabs"],
+    )
+    def test_json_sidecar_round_trips(self, tmp_path, command, name, rows):
+        out = tmp_path / "scan.csv"
+        assert main([command, "--scenario", name, "--out", str(out), "--json"]) == EXIT_OK
+        record = json.loads((tmp_path / "scan.json").read_text())
+        assert json.loads(json.dumps(record)) == record
+        assert record["command"] == command
+        assert record["flagged_points"] == []
+        assert record["scenario"]["eit"]["omega_c"] == 50.0
+        scenario = validate(load_scenario(name)[0])
+        if command == "scan-detuning":
+            records = sweep_detuning(scenario)
+        else:
+            inner = default_detuning_spec(scenario.eit)
+            records = sweep_absorber_depth(scenario, scenario.sweep, inner_spec=inner)
+        assert len(records) == rows
+        assert [list(entry.items()) for entry in record["results"]] == [
+            [(field, getattr(r, field)) for field in RECORD_FIELDS] for r in records
+        ]
+
+    @pytest.mark.parametrize(
+        "command, scenario_name, out_name, flags",
+        [("scan-detuning", "s.toml", "s.toml", []), ("scan-dabs", "s.json", "s.csv", ["--json"])],
+        ids=["csv", "json-sidecar"],
+    )
+    def test_output_overwriting_scenario_rejected(
+        self, tmp_path, capsys, command, scenario_name, out_name, flags
+    ):
+        scenario = tmp_path / scenario_name
+        scenario.write_bytes(resolve_scenario_path("fig2_default").read_bytes())
+        before = scenario.read_bytes()
+        argv = [command, "--scenario", str(scenario), "--out", str(tmp_path / out_name), *flags]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "scenario file" in err[0]
+        assert scenario.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [scenario_name]
 
 
 class TestDesign:
