@@ -1,7 +1,7 @@
 """Steady-state simulator and design calculator for four-wave-mixing
 suppression in a double-lambda EIT medium with an auxiliary Raman absorber."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     DomainError,
@@ -35,8 +35,6 @@ from .propagation import (
     propagate,
 )
 from .susceptibility import (
-    AbsorberResponse,
-    absorber_response,
     chi_2ph,
     chi_abs,
     effective_depth,
@@ -63,7 +61,6 @@ from .scenario import load_scenario, parse_scenario_text, resolve_scenario_path
 
 __all__ = [
     "__version__",
-    "AbsorberResponse",
     "AtomicLine",
     "CouplingMatrix",
     "DesignReport",
@@ -82,7 +79,6 @@ __all__ = [
     "TransferMatrix",
     "ValidationError",
     "Violation",
-    "absorber_response",
     "analytic_resonant_output",
     "approx_output_with_absorber",
     "asymmetry_metric",

@@ -35,7 +35,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .model import Scenario, SweepSpec, validate
+from .model import Scenario, SweepSpec
 from .propagation import n_fwm, noise_suppression_ratio
 from .scan import (
     DEPTH_AXIS,
@@ -118,11 +118,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> tuple[Scenario, Path]:
-    scenario, path = load_scenario(args.scenario)
-    return validate(scenario), path
-
-
 def _run_record(command: str, scenario: Scenario, records: Sequence[SpectrumRecord]) -> dict:
     return {
         "tool": "lambda-mixer",
@@ -170,7 +165,7 @@ _SCANS = {
 
 def _cmd_scan(args) -> int:
     _check_out(args)
-    scenario, path = _load(args)
+    scenario, path = load_scenario(args.scenario)
     _reject_scenario_overwrite(args, path)
     header, names, renderer = _SCANS[args.command]
     sweep = scenario.sweep
@@ -210,7 +205,7 @@ def _verdict(ok: bool) -> str:
 
 
 def _cmd_design(args) -> int:
-    scenario, path = _load(args)
+    scenario, path = load_scenario(args.scenario)
     report = full_report(scenario)
     if args.json:
         print(_json_text(asdict(report)))
@@ -241,7 +236,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    scenario, _ = _load(args)
+    scenario, _ = load_scenario(args.scenario)
     if scenario.absorber is None:
         raise DomainError("noise command requires an absorber section")
     d_abs = effective_depth(scenario.absorber)
@@ -256,13 +251,8 @@ def _cmd_noise(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

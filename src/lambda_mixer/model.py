@@ -204,7 +204,9 @@ def compute_optical_depth(g: float, n: float, length: float, gamma_ge: float) ->
     """
     violations = []
     for name, value in (("g", g), ("n", n), ("length", length), ("gamma_ge", gamma_ge)):
-        if not value > 0:
+        if not math.isfinite(value):
+            violations.append(Violation(name, value, "must be finite"))
+        elif not value > 0:
             violations.append(Violation(name, value, "must be positive"))
     if violations:
         raise ValidationError(violations)

@@ -140,14 +140,15 @@ def _transfer_adaptive(m: np.ndarray) -> np.ndarray:
 
     columns = []
     for basis in (np.array([1.0 + 0j, 0j]), np.array([0j, 1.0 + 0j])):
-        sol = solve_ivp(
-            lambda _, y: m @ y,
-            (0.0, 1.0),
-            basis,
-            method="DOP853",
-            rtol=_RK_RTOL,
-            atol=_RK_ATOL,
-        )
+        with np.errstate(all="ignore"):  # a failed integration reports itself in sol.success
+            sol = solve_ivp(
+                lambda _, y: m @ y,
+                (0.0, 1.0),
+                basis,
+                method="DOP853",
+                rtol=_RK_RTOL,
+                atol=_RK_ATOL,
+            )
         if not sol.success:
             raise IntegrationError(
                 f"adaptive integration failed: {sol.message}",

@@ -9,6 +9,7 @@ singular denominator or an overflow) is flagged and zeroed.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -17,11 +18,12 @@ from .errors import DomainError
 from .model import EitMedium, Scenario, SweepSpec
 from .propagation import coupling_entries, expm2
 from .susceptibility import (
-    absorber_response,
     chi_abs,
     effective_depth,
     light_shift,
+    normalized_lineshape,
     susceptibility_depth_scale,
+    two_photon_width,
 )
 
 DETUNING_AXIS = "two-photon-detuning"
@@ -80,18 +82,20 @@ def absorber_loss_profile(
     if absorber is None:
         return _no_loss, 0.0
     depth = effective_depth(absorber)
-    if scenario.options.exact_absorber:
-        line = scenario.line
+    line = scenario.line
+    exact = scenario.options.exact_absorber
+    if exact:  # checked before light_shift, whose omega_a**2 can overflow where these exit
         if line is None:
             raise DomainError("the exact absorber profile requires atomic line data")
         if depth == 0.0:  # nothing to normalize the susceptibility against
             return _no_loss, 0.0
+    shift = light_shift(absorber)
+    # turning the shift off models retuning the Raman control
+    center = absorber.center_offset + (shift if scenario.options.apply_light_shift else 0.0)
+    if exact:
         scale = susceptibility_depth_scale(absorber, line)
-        shift = light_shift(absorber)
-        center = absorber.center_offset + (shift if scenario.options.apply_light_shift else 0.0)
         # the full susceptibility peaks at the light-shifted two-photon
         # resonance; translate it so the peak sits at the configured center
-        # (turning the shift off models retuning the Raman control)
         offset = shift - center
 
         def profile(delta: float) -> complex:
@@ -99,12 +103,14 @@ def absorber_loss_profile(
             return 1j * chi_abs(absorber, line, delta + offset).conjugate() * scale / depth
 
         return profile, depth
-    try:
-        return absorber_response(absorber, scenario.options.apply_light_shift).lineshape, depth
-    except DomainError:
+    width = two_photon_width(absorber)
+    if width <= 0:
         if depth == 0.0:  # degenerate width but lossless; harmless
             return _no_loss, 0.0
-        raise
+        raise DomainError(
+            "absorber response width is zero; a finite gamma_cb or omega_a is required"
+        )
+    return partial(normalized_lineshape, center=center, hwhm=width), depth
 
 
 def _row_groups(eit: EitMedium, profile, deltas, depths, seed: float) -> Iterator[tuple]:

@@ -4,7 +4,8 @@ The far-detuned lambda system behaves, near its two-photon resonance, like a
 narrow effective two-level absorber for the idler field.  This module
 evaluates its full complex susceptibility, the peak two-photon value, the
 effective absorption depth with its width, and the normalized complex
-lineshape consumed by the propagation module.
+Lorentzian from which :func:`lambda_mixer.scan.absorber_loss_profile` builds
+the idler loss line.
 
 Susceptibilities are expressed in the same dimensionless convention as the
 optical depths: the bare two-level line at resonance has susceptibility
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, ValidationError, Violation
+from .errors import SingularityError, ValidationError, Violation
 from .model import AtomicLine, RamanAbsorber
 
 _FAR_DETUNED_FACTOR = 10.0
@@ -128,48 +128,11 @@ def two_photon_width(absorber: RamanAbsorber) -> float:
     return absorber.gamma_ab * r + absorber.gamma_cb * (1.0 - r)
 
 
-@dataclass(frozen=True)
-class AbsorberResponse:
-    """Reduced absorber description consumed by the propagation module.
-
-    depth_abs: effective peak amplitude-depth at line center
-    hwhm: half-width of the two-photon absorption line (MHz)
-    light_shift: displacement of the line center by the Raman control (MHz)
-    center: actual line center on the two-photon detuning axis (MHz)
-    """
-
-    depth_abs: float
-    hwhm: float
-    light_shift: float
-    center: float
-
-    def lineshape(self, delta: float) -> complex:
-        return normalized_lineshape(self, delta)
-
-
-def absorber_response(absorber: RamanAbsorber, apply_light_shift: bool = True) -> AbsorberResponse:
-    """Collapse a RamanAbsorber into the peak-normalized response used in sweeps."""
-    shift = light_shift(absorber)
-    width = two_photon_width(absorber)
-    if width <= 0:
-        raise DomainError(
-            "absorber response width is zero; a finite gamma_cb or omega_a is required"
-        )
-    center = absorber.center_offset + (shift if apply_light_shift else 0.0)
-    return AbsorberResponse(
-        depth_abs=effective_depth(absorber),
-        hwhm=width,
-        light_shift=shift,
-        center=center,
-    )
-
-
-def normalized_lineshape(response: AbsorberResponse, delta: float) -> complex:
+def normalized_lineshape(delta: float, center: float, hwhm: float) -> complex:
     """Normalized complex Lorentzian response, equal to 1 at the line center.
 
     The real part is the (even) absorption profile, the imaginary part the
-    (odd) dispersion; the loss entering propagation is depth_abs times this.
-    delta may be a numpy array.
+    (odd) dispersion; the loss entering propagation is the effective depth
+    times this.  delta may be a numpy array.
     """
-    g = response.hwhm
-    return 1j * g / ((delta - response.center) + 1j * g)
+    return 1j * hwhm / ((delta - center) + 1j * hwhm)

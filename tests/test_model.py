@@ -39,6 +39,11 @@ class TestOpticalDepth:
         with pytest.raises(ValidationError) as err:
             compute_optical_depth(0.0, 1e10, 0.05, 300.0)
         assert any(v.field == "g" for v in err.value.violations)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValidationError) as err:
+                compute_optical_depth(0.05, 1e10, bad, 300.0)
+            violations = [(v.field, v.constraint) for v in err.value.violations]
+            assert violations == [("length", "must be finite")]
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from lambda_mixer.propagation import (
     noise_suppression_ratio,
     propagate,
 )
+from lambda_mixer.susceptibility import normalized_lineshape
 
 RNG_SEED = 20240811
 
@@ -190,6 +192,78 @@ class TestArrayKernels:
         assert_columns_match_scalar(got, coupling_entries, args)
 
 
+def assert_matches_mpmath(matrices):
+    """Both expm2 branches against a 40-digit mpmath.expm of each (m00, m01, m10, m11).
+
+    Error at most 1e-12 of the largest exact entry, and at most 1e-12 relative
+    on every entry that is at least 1e-3 of it; smaller entries, down to the
+    exp(-2 D) underflow scale, are held to the absolute bound only.
+    """
+    import mpmath
+
+    array = np.array(np.broadcast_arrays(*expm2(*np.array(matrices).T)))
+    with mpmath.workdps(40):
+        for j, m in enumerate(matrices):
+            exact = mpmath.expm(mpmath.matrix([[m[0], m[1]], [m[2], m[3]]]))
+            want = np.array([complex(exact[i, k]) for i in (0, 1) for k in (0, 1)])
+            scale = np.abs(want).max()
+            relevant = np.abs(want) >= 1e-3 * scale
+            for got in (np.array(expm2(*m)), array[:, j]):
+                err = np.abs(got - want)
+                assert err.max() <= 1e-12 * scale
+                assert np.all(err[relevant] <= 1e-12 * np.abs(want[relevant]))
+
+
+class TestExpm2Oracle:
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.floats(100.0, 1000.0),
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 200.0),
+        st.floats(0.0, 50.0),
+        st.floats(0.05, 20.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.lists(
+            st.tuples(st.floats(-1000.0, 1000.0), st.floats(0.0, 1000.0), st.floats(0.01, 100.0)),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_generators(self, g, gs, w, depth, strength, sign, points):
+        # FWM strength depth * gamma_ge / |delta_control| up to 20; idler
+        # losses D_abs * lineshape with D_abs up to 1e3
+        dl = sign * max(depth * g / strength, 1.0)
+        eit = EitMedium(gamma_ge=g, gamma_gs=gs, delta_control=dl, omega_c=w, depth=depth)
+        assert_matches_mpmath(
+            [
+                coupling_entries(eit, d_abs * normalized_lineshape(delta, 0.0, hwhm), delta)
+                for delta, d_abs, hwhm in points
+            ]
+        )
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(5e-4, 2e-3),
+                st.floats(0.0, 2.0 * math.pi),
+                st.floats(0.0, 1.0),
+                st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+                st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_straddles_series_threshold(self, params):
+        matrices = []
+        for r, phase, t, mu, b in params:
+            q = cmath.rect(r, phase)
+            a = q * t
+            matrices.append((mu + a, b, q * q * (1.0 - t * t) / b, mu - a))
+        assert_matches_mpmath(matrices)
+
+
 class TestPropagate:
     def test_zero_generator_is_identity(self):
         cm = CouplingMatrix(m=np.zeros((2, 2), complex), delta=0.0)
@@ -245,6 +319,14 @@ class TestPropagate:
             propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
         assert err.value.last_zeta == pytest.approx(0.37)
 
+    def test_integration_failure_raises_without_warnings(self):
+        # strongly amplifying generator: DOP853 overflows before it gives up
+        cm = build_coupling_matrix(EitMedium(300.0, 0.0, 8.0, 50.0, 20.0), 0j, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError):
+                propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
+
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(200):
@@ -281,15 +363,14 @@ class TestPropagate:
     def test_reciprocal_scan_symmetry(self):
         # centered absorber, gamma_gs = 0: probe transmission even in detuning
         eit = EitMedium(300.0, 0.0, 3036.0, 50.0, 6.0)
-        from lambda_mixer.susceptibility import AbsorberResponse
-
-        resp = AbsorberResponse(depth_abs=3.0, hwhm=2.0, light_shift=0.0, center=0.0)
         for delta in (0.4, 1.3, 7.9, 41.0):
             t_plus = propagate(
-                build_coupling_matrix(eit, 3.0 * resp.lineshape(delta), delta), FieldPair(1.0, 0.0)
+                build_coupling_matrix(eit, 3.0 * normalized_lineshape(delta, 0.0, 2.0), delta),
+                FieldPair(1.0, 0.0),
             )[1].t
             t_minus = propagate(
-                build_coupling_matrix(eit, 3.0 * resp.lineshape(-delta), -delta), FieldPair(1.0, 0.0)
+                build_coupling_matrix(eit, 3.0 * normalized_lineshape(-delta, 0.0, 2.0), -delta),
+                FieldPair(1.0, 0.0),
             )[1].t
             assert abs(t_plus[0, 0]) ** 2 == pytest.approx(abs(t_minus[0, 0]) ** 2, rel=1e-12)
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambda_mixer.errors import DomainError
-from lambda_mixer.model import AtomicLine, RamanAbsorber
+from lambda_mixer.model import AtomicLine, RamanAbsorber, ScanOptions, Scenario
+from lambda_mixer.scan import absorber_loss_profile
 from lambda_mixer.susceptibility import (
-    absorber_response,
     chi_2ph,
     chi_abs,
     effective_depth,
@@ -159,57 +159,80 @@ class TestTwoPhotonWidth:
         assert value == pytest.approx(0.7441, abs=0.0005)
 
 
+def shifted_line(absorber: RamanAbsorber) -> tuple[float, float]:
+    """Center and half-width of the light-shifted Lorentzian line (center_offset 0)."""
+    return light_shift(absorber), two_photon_width(absorber)
+
+
 class TestLineshape:
     def test_unity_at_center(self, sec5_absorber):
-        resp = absorber_response(sec5_absorber)
-        assert normalized_lineshape(resp, resp.center) == pytest.approx(1.0)
+        center, hwhm = shifted_line(sec5_absorber)
+        assert normalized_lineshape(center, center, hwhm) == pytest.approx(1.0)
 
     def test_half_width_definition(self, sec5_absorber):
-        resp = absorber_response(sec5_absorber)
+        center, hwhm = shifted_line(sec5_absorber)
         for sign in (-1.0, 1.0):
-            value = normalized_lineshape(resp, resp.center + sign * resp.hwhm)
+            value = normalized_lineshape(center + sign * hwhm, center, hwhm)
             assert abs(value) ** 2 == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_exact_profile_within_two_percent(self, sec5_absorber, rb_line):
         # The physical idler response is the conjugate of the lineshape;
         # compare against the conjugated exact profile, normalized to its
         # own peak, over ten widths around the center.
-        resp = absorber_response(sec5_absorber, apply_light_shift=True)
-        deltas = np.linspace(resp.center - 10 * resp.hwhm, resp.center + 10 * resp.hwhm, 1001)
+        center, hwhm = shifted_line(sec5_absorber)
+        deltas = np.linspace(center - 10 * hwhm, center + 10 * hwhm, 1001)
         chis = np.array([chi_abs(sec5_absorber, rb_line, d) for d in deltas])
         exact = np.conj(chis / chis[np.argmax(np.abs(chis))])
-        approx = np.array([resp.lineshape(d) for d in deltas])
+        approx = np.array([normalized_lineshape(d, center, hwhm) for d in deltas])
         assert np.max(np.abs(approx - exact)) < 0.02
 
     def test_bounded_and_decaying(self, sec5_absorber):
-        resp = absorber_response(sec5_absorber)
-        for delta in np.linspace(resp.center - 1e4, resp.center + 1e4, 101):
-            assert abs(resp.lineshape(delta)) <= 1.0 + 1e-12
-        far = resp.center + 1e6 * resp.hwhm
-        assert abs(resp.lineshape(far)) == pytest.approx(resp.hwhm / (far - resp.center), rel=1e-3)
+        center, hwhm = shifted_line(sec5_absorber)
+        for delta in np.linspace(center - 1e4, center + 1e4, 101):
+            assert abs(normalized_lineshape(delta, center, hwhm)) <= 1.0 + 1e-12
+        far = center + 1e6 * hwhm
+        assert abs(normalized_lineshape(far, center, hwhm)) == pytest.approx(
+            hwhm / (far - center), rel=1e-3
+        )
 
     def test_parity_about_center(self, sec5_absorber):
         # absorption (real part) is even, dispersion (imaginary part) odd
-        resp = absorber_response(sec5_absorber)
+        center, hwhm = shifted_line(sec5_absorber)
         for offset in (0.3, 1.7, 12.0):
-            plus = resp.lineshape(resp.center + offset)
-            minus = resp.lineshape(resp.center - offset)
+            plus = normalized_lineshape(center + offset, center, hwhm)
+            minus = normalized_lineshape(center - offset, center, hwhm)
             assert plus.real == pytest.approx(minus.real, rel=1e-12)
             assert plus.imag == pytest.approx(-minus.imag, rel=1e-12)
 
-    def test_light_shift_moves_center(self, sec5_absorber):
-        shifted = absorber_response(sec5_absorber, apply_light_shift=True)
-        centered = absorber_response(sec5_absorber, apply_light_shift=False)
-        assert shifted.center == pytest.approx(light_shift(sec5_absorber))
-        assert centered.center == 0.0
-        assert shifted.light_shift == centered.light_shift
+    def test_light_shift_moves_center(self, sec5_eit, sec5_absorber):
+        def loss_profile(apply_light_shift):
+            options = ScanOptions(apply_light_shift=apply_light_shift)
+            return absorber_loss_profile(Scenario(eit=sec5_eit, absorber=sec5_absorber, options=options))
 
-    def test_degenerate_width_rejected(self):
+        shifted, shifted_depth = loss_profile(True)
+        centered, centered_depth = loss_profile(False)
+        assert shifted(light_shift(sec5_absorber)) == pytest.approx(1.0)
+        assert centered(sec5_absorber.center_offset) == pytest.approx(1.0)
+        assert shifted_depth == centered_depth
+
+    def test_degenerate_width_rejected(self, sec5_eit):
+        # r = 4 drives gamma_ab * r + gamma_cb * (1 - r) negative at a positive depth
         absorber = RamanAbsorber(
+            omega_a=2.0 * 14700.0,
+            delta_2=14700.0,
+            gamma_ab=1.0,
+            gamma_ac=1.0,
+            gamma_cb=100.0,
+            depth_2l=85.0,
+        )
+        assert two_photon_width(absorber) <= 0 < effective_depth(absorber)
+        with pytest.raises(DomainError):
+            absorber_loss_profile(Scenario(eit=sec5_eit, absorber=absorber))
+        lossless = RamanAbsorber(
             omega_a=0.0, delta_2=14700.0, gamma_ab=300.0, gamma_ac=300.0, gamma_cb=0.0, depth_2l=85.0
         )
-        with pytest.raises(DomainError):
-            absorber_response(absorber)
+        assert two_photon_width(lossless) == 0.0
+        assert absorber_loss_profile(Scenario(eit=sec5_eit, absorber=lossless))[1] == 0.0
 
     @settings(max_examples=50)
     @given(
@@ -225,5 +248,4 @@ class TestLineshape:
             gamma_cb=0.5,
             depth_2l=85.0,
         )
-        resp = absorber_response(absorber)
-        assert abs(resp.lineshape(delta)) <= 1.0 + 1e-12
+        assert abs(normalized_lineshape(delta, *shifted_line(absorber))) <= 1.0 + 1e-12
