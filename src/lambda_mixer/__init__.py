@@ -13,7 +13,6 @@ from .errors import (
     Violation,
 )
 from .model import (
-    AtomicLine,
     CouplingMatrix,
     EitMedium,
     FieldPair,
@@ -35,7 +34,6 @@ from .propagation import (
     propagate,
 )
 from .susceptibility import (
-    chi_2ph,
     chi_abs,
     effective_depth,
     normalized_lineshape,
@@ -61,7 +59,6 @@ from .scenario import load_scenario, parse_scenario_text, resolve_scenario_path
 
 __all__ = [
     "__version__",
-    "AtomicLine",
     "CouplingMatrix",
     "DesignReport",
     "DomainError",
@@ -84,7 +81,6 @@ __all__ = [
     "asymmetry_metric",
     "bandwidth_check",
     "build_coupling_matrix",
-    "chi_2ph",
     "chi_abs",
     "compute_optical_depth",
     "default_detuning_spec",

@@ -2,12 +2,10 @@
 
 Subcommands::
 
-    lambda-mixer scan-detuning --scenario PATH [--out PATH] [--json] [--svg] [--workers N]
-    lambda-mixer scan-dabs     --scenario PATH [--out PATH] [--json] [--svg] [--workers N]
+    lambda-mixer scan-detuning --scenario PATH [--out PATH] [--json] [--svg]
+    lambda-mixer scan-dabs     --scenario PATH [--out PATH] [--json] [--svg]
     lambda-mixer design        --scenario PATH [--json]
     lambda-mixer noise         --scenario PATH
-
---workers is accepted and ignored: sweeps run as numpy blocks on one thread.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure (flagged
 grid points or an overflow), 3 I/O failure, 4 design infeasible.  Scenario
@@ -41,7 +39,6 @@ from .scan import (
     DEPTH_AXIS,
     DETUNING_AXIS,
     SpectrumRecord,
-    default_detuning_spec,
     sweep_absorber_depth,
     sweep_detuning,
 )
@@ -101,7 +98,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--json", action="store_true", help="also write a run-record JSON sidecar")
         p.add_argument("--svg", action="store_true", help="also render an SVG plot")
-        p.add_argument("--workers", type=int, help="ignored; kept so existing scripts still run")
         p.set_defaults(func=_cmd_scan)
 
     add_scan("scan-detuning", "transmission spectra versus two-photon detuning")
@@ -174,8 +170,7 @@ def _cmd_scan(args) -> int:
         records = sweep_detuning(scenario, spec)
     else:
         spec = sweep if sweep and sweep.axis == DEPTH_AXIS else DEFAULT_DABS_SPEC
-        inner = default_detuning_spec(scenario.eit)
-        records = sweep_absorber_depth(scenario, spec, inner_spec=inner)
+        records = sweep_absorber_depth(scenario, spec)
     row = attrgetter(*names)
     csv_text = "\n".join([header] + [",".join(map(_fmt, row(r))) for r in records]) + "\n"
     if args.out:

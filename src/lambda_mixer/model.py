@@ -104,15 +104,6 @@ class RamanAbsorber:
 
 
 @dataclass(frozen=True)
-class AtomicLine:
-    """Radiative rate (MHz), wavelength (nm), and density (atoms/cm^3) of the absorber line."""
-
-    gamma_r: float = _positive()
-    wavelength: float = _positive()
-    density: float = _positive()
-
-
-@dataclass(frozen=True)
 class FieldPair:
     """Mean-field complex amplitudes of the signal and the conjugated idler."""
 
@@ -141,7 +132,10 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for one sweep axis; start < stop, and start > 0 on a logarithmic scale."""
+    """Grid description for one sweep axis.
+
+    start < stop; start > 0 on a logarithmic scale, start >= 0 on the absorber-depth axis.
+    """
 
     axis: Literal["two-photon-detuning", "absorber-depth"]
     start: float
@@ -164,7 +158,7 @@ class ScanOptions:
     stokes_seed: input idler amplitude relative to the input signal
     apply_light_shift: move the absorber line center by |omega_a|^2/delta_2
     exact_absorber: use the full absorber susceptibility profile instead of
-        the Lorentzian approximation (requires an AtomicLine)
+        the Lorentzian approximation
     normalize_stokes: "input" references Stokes output to the input signal
         intensity, "max" renormalizes the curve to its own maximum
     delta_a: detuning of the Raman control seen by the EIT isotope (MHz),
@@ -191,7 +185,6 @@ class Scenario:
 
     eit: EitMedium
     absorber: Optional[RamanAbsorber] = None
-    line: Optional[AtomicLine] = None
     sweep: Optional[SweepSpec] = None
     options: ScanOptions = field(default_factory=ScanOptions)
 
@@ -285,14 +278,10 @@ def scenario_violations(s: Scenario) -> list[Violation]:
             v.append(
                 Violation("sweep.start", sweep.start, "must be positive on a logarithmic scale")
             )
-    if s.options.exact_absorber and s.line is None:
-        v.append(
-            Violation(
-                "options.exact_absorber",
-                True,
-                "requires a [line] section for the exact absorber profile",
+        elif sweep.axis == "absorber-depth" and sweep.start < 0:
+            v.append(
+                Violation("sweep.start", sweep.start, "must be nonnegative on the absorber-depth axis")
             )
-        )
     return v
 
 

@@ -22,7 +22,6 @@ from .susceptibility import (
     effective_depth,
     light_shift,
     normalized_lineshape,
-    susceptibility_depth_scale,
     two_photon_width,
 )
 
@@ -82,25 +81,21 @@ def absorber_loss_profile(
     if absorber is None:
         return _no_loss, 0.0
     depth = effective_depth(absorber)
-    line = scenario.line
     exact = scenario.options.exact_absorber
-    if exact:  # checked before light_shift, whose omega_a**2 can overflow where these exit
-        if line is None:
-            raise DomainError("the exact absorber profile requires atomic line data")
-        if depth == 0.0:  # nothing to normalize the susceptibility against
-            return _no_loss, 0.0
+    # checked before light_shift, whose omega_a**2 can overflow where this exits
+    if exact and depth == 0.0:  # nothing to normalize the susceptibility against
+        return _no_loss, 0.0
     shift = light_shift(absorber)
     # turning the shift off models retuning the Raman control
     center = absorber.center_offset + (shift if scenario.options.apply_light_shift else 0.0)
     if exact:
-        scale = susceptibility_depth_scale(absorber, line)
         # the full susceptibility peaks at the light-shifted two-photon
         # resonance; translate it so the peak sits at the configured center
         offset = shift - center
 
         def profile(delta: float) -> complex:
             # conj(-i * chi) is the loss seen by the conjugated idler.
-            return 1j * chi_abs(absorber, line, delta + offset).conjugate() * scale / depth
+            return 1j * chi_abs(absorber, delta + offset).conjugate() / depth
 
         return profile, depth
     width = two_photon_width(absorber)

@@ -167,7 +167,8 @@ def resolve_scenario_path(name: str) -> Path:
     for cand in candidates:
         if cand.is_file():
             return cand
-    raise FileNotFoundError(f"scenario not found: {name!r} (also searched {candidates})")
+    searched = ", ".join(map(str, candidates))
+    raise FileNotFoundError(f"scenario not found: {name!r} (also searched {searched})")
 
 
 def load_scenario(name: str) -> tuple[Scenario, Path]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from lambda_mixer.model import AtomicLine, EitMedium, RamanAbsorber
+from lambda_mixer.model import EitMedium, RamanAbsorber
 
 
 @pytest.fixture
@@ -20,11 +20,6 @@ def sec5_absorber() -> RamanAbsorber:
         gamma_cb=0.064,
         depth_2l=85.0,
     )
-
-
-@pytest.fixture
-def rb_line() -> AtomicLine:
-    return AtomicLine(gamma_r=5.75, wavelength=795.0, density=3.4e12)
 
 
 @pytest.fixture

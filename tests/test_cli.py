@@ -24,7 +24,7 @@ from lambda_mixer.cli import (
 from lambda_mixer.design import full_report
 from lambda_mixer.model import validate
 from lambda_mixer.scan import default_detuning_spec, sweep_absorber_depth, sweep_detuning
-from lambda_mixer.scenario import load_scenario, resolve_scenario_path
+from lambda_mixer.scenario import load_scenario, resolve_scenario_path, scenario_search_dirs
 
 
 def shipped_with(tmp_path, name, old, new):
@@ -90,7 +90,7 @@ def read_csv(path):
 class TestScanDetuning:
     def test_fig4_csv(self, tmp_path):
         out = tmp_path / "fig4.csv"
-        code = main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out), "--workers", "2"])
+        code = main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out)])
         assert code == EXIT_OK
         header, data = read_csv(out)
         assert header == DETUNING_CSV_HEADER
@@ -99,10 +99,30 @@ class TestScanDetuning:
         peaks, _ = find_peaks(probe, prominence=1e-3 * probe.max())
         assert len(peaks) >= 2
 
+    def test_exact_absorber_needs_no_line_data(self, tmp_path):
+        # depth_2l alone sets the absorber's strength; no [line] section is needed
+        scenario = shipped_with(
+            tmp_path,
+            "fig4_dabs_4.16",
+            "apply_light_shift = false",
+            "apply_light_shift = false\nexact_absorber = true",
+        )
+        out = tmp_path / "exact.csv"
+        code = main(["scan-detuning", "--scenario", str(scenario), "--out", str(out)])
+        assert code == EXIT_OK
+        header, data = read_csv(out)
+        assert header == DETUNING_CSV_HEADER
+        assert data.shape == (401, 5)
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = main(["scan-detuning", "--scenario", "does_not_exist", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_IO
-        assert "does_not_exist" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does_not_exist" in err
+        assert "PosixPath(" not in err
+        for base in scenario_search_dirs():
+            for name in ("does_not_exist", "does_not_exist.toml"):
+                assert str(base / name) in err
 
     def test_invalid_scenario_lists_all_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"
@@ -141,7 +161,7 @@ class TestScanDetuning:
         assert not out.exists()
 
     def test_stdout_when_no_out(self, capsys):
-        assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--workers", "1"]) == EXIT_OK
+        assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == DETUNING_CSV_HEADER
         assert len(lines) == 402
@@ -150,7 +170,7 @@ class TestScanDetuning:
 class TestScanDabs:
     def test_fig2_first_and_last_rows(self, tmp_path):
         out = tmp_path / "fig2.csv"
-        code = main(["scan-dabs", "--scenario", "fig2_default", "--out", str(out), "--workers", "4"])
+        code = main(["scan-dabs", "--scenario", "fig2_default", "--out", str(out)])
         assert code == EXIT_OK
         header, data = read_csv(out)
         assert header == DABS_CSV_HEADER
@@ -175,15 +195,25 @@ class TestScanDabs:
         assert "sweep.stop = inf: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_repeated_runs_give_identical_bytes(self, tmp_path):
         outputs = []
-        for workers in ("1", "8"):
-            out = tmp_path / f"w{workers}.csv"
-            assert main(
-                ["scan-dabs", "--scenario", "fig2_default", "--out", str(out), "--workers", workers]
-            ) == EXIT_OK
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.csv"
+            assert main(["scan-dabs", "--scenario", "fig2_default", "--out", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_negative_depth_start_rejected(self, tmp_path, capsys):
+        # a linear scale, so the logarithmic-scale rule does not report first
+        scenario = shipped_with(tmp_path, "fig2_default", "start = 0.01", "start = -5.0")
+        text = scenario.read_text().replace('scale = "logarithmic"', 'scale = "linear"')
+        scenario.write_text(text)
+        lineno = text.splitlines().index("start = -5.0") + 1
+        code = main(["scan-dabs", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line {lineno}: sweep.start = -5.0: must be nonnegative on the absorber-depth axis" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_svg_written(self, tmp_path):
         out = tmp_path / "fig2.csv"

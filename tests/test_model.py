@@ -47,8 +47,8 @@ class TestOpticalDepth:
 
 
 class TestValidate:
-    def test_sec5_parameter_set_is_valid(self, sec5_eit, sec5_absorber, rb_line):
-        scenario = Scenario(eit=sec5_eit, absorber=sec5_absorber, line=rb_line)
+    def test_sec5_parameter_set_is_valid(self, sec5_eit, sec5_absorber):
+        scenario = Scenario(eit=sec5_eit, absorber=sec5_absorber)
         assert validate(scenario) is scenario
 
     def test_negative_gamma_ge(self):
@@ -130,6 +130,23 @@ class TestSweepSpec:
         assert scenario_violations(
             Scenario(eit=EitMedium(300.0, 0.064, 3036.0, 50.0, 15.0), sweep=spec)
         )
+
+    @pytest.mark.parametrize(
+        "axis, start, scale, constraints",
+        [
+            ("absorber-depth", -5.0, "linear", ["must be nonnegative on the absorber-depth axis"]),
+            ("absorber-depth", -5.0, "logarithmic", ["must be positive on a logarithmic scale"]),
+            ("absorber-depth", 0.0, "linear", []),
+            ("two-photon-detuning", -5.0, "linear", []),
+        ],
+    )
+    def test_depth_axis_start_nonnegative(self, axis, start, scale, constraints):
+        spec = SweepSpec(axis=axis, start=start, stop=100.0, points=5, scale=scale)
+        scenario = Scenario(eit=EitMedium(300.0, 0.064, 3036.0, 50.0, 15.0), sweep=spec)
+        violations = scenario_violations(scenario)
+        assert [(v.field, v.constraint) for v in violations] == [
+            ("sweep.start", c) for c in constraints
+        ]
 
     def test_grids(self):
         lin = SweepSpec(axis="two-photon-detuning", start=-1.0, stop=1.0, points=5)

@@ -197,7 +197,9 @@ def assert_matches_mpmath(matrices):
 
     Error at most 1e-12 of the largest exact entry, and at most 1e-12 relative
     on every entry that is at least 1e-3 of it; smaller entries, down to the
-    exp(-2 D) underflow scale, are held to the absolute bound only.
+    exp(-2 D) underflow scale, are held to the absolute bound only.  Where an
+    exact entry lies beyond the double range, the scalar branch must raise
+    OverflowError and the array branch must give a non-finite entry.
     """
     import mpmath
 
@@ -206,6 +208,11 @@ def assert_matches_mpmath(matrices):
         for j, m in enumerate(matrices):
             exact = mpmath.expm(mpmath.matrix([[m[0], m[1]], [m[2], m[3]]]))
             want = np.array([complex(exact[i, k]) for i in (0, 1) for k in (0, 1)])
+            if not np.isfinite(want).all():
+                with pytest.raises(OverflowError):
+                    expm2(*m)
+                assert not np.isfinite(array[:, j]).all()
+                continue
             scale = np.abs(want).max()
             relevant = np.abs(want) >= 1e-3 * scale
             for got in (np.array(expm2(*m)), array[:, j]):

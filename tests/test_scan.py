@@ -91,11 +91,11 @@ class TestDetuningSweep:
         peak = max(r.stokes_output for r in records)
         assert peak == pytest.approx(1.0, rel=1e-12)
 
-    def test_exact_absorber_profile_close_to_lorentzian(self, fig4_scenarios, rb_line):
+    def test_exact_absorber_profile_close_to_lorentzian(self, fig4_scenarios):
         # the escape hatch substitutes the full susceptibility profile; for a
         # narrow line it must track the Lorentzian reduction closely, in both
         # centering conventions
-        base = replace(fig4_scenarios["4.16"], line=rb_line)
+        base = fig4_scenarios["4.16"]
         for apply_shift in (False, True):
             options = replace(base.options, apply_light_shift=apply_shift)
             approx = sweep_detuning(replace(base, options=options))
@@ -105,12 +105,6 @@ class TestDetuningSweep:
             probe_a = np.array([r.probe_transmission for r in approx])
             probe_e = np.array([r.probe_transmission for r in exact])
             assert np.abs(probe_a - probe_e).max() < 0.01
-
-    def test_exact_absorber_requires_line_data(self, fig4_scenarios):
-        scenario = fig4_scenarios["4.16"]
-        broken = replace(scenario, options=replace(scenario.options, exact_absorber=True))
-        with pytest.raises(DomainError, match="line data"):
-            sweep_detuning(broken)
 
     def test_light_shift_moves_absorption_dip(self, fig4_scenarios):
         from lambda_mixer.susceptibility import light_shift
@@ -183,13 +177,11 @@ class TestScalarReference:
             for g, w in zip(got, want or (0.0,) * 4):
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
-    def test_exact_absorber_depth_scan_with_split_rows(self, fig2_scenario, rb_line):
+    def test_exact_absorber_depth_scan_with_split_rows(self, fig2_scenario):
         # an inner grid longer than one block: every depth row is split
         from lambda_mixer.scan import BLOCK, _refined_peak
 
-        scenario = replace(
-            fig2_scenario, line=rb_line, options=replace(fig2_scenario.options, exact_absorber=True)
-        )
+        scenario = replace(fig2_scenario, options=replace(fig2_scenario.options, exact_absorber=True))
         inner = default_detuning_spec(scenario.eit, BLOCK + 905)
         spec = SweepSpec(axis="absorber-depth", start=0.5, stop=50.0, points=3, scale="logarithmic")
         profile, _ = absorber_loss_profile(scenario)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Optional, get_args, get_type_hints
 
 import pytest
@@ -56,7 +56,6 @@ class TestParsing:
         assert scenario.sweep.scale == "linear"
         assert scenario.options.apply_light_shift is False
         assert scenario.options.delta_a == 14677.0
-        assert scenario.line is None
 
     def test_unknown_key_rejected_with_line_number(self):
         text = GOOD.replace("omega_c = 50.0", "omega_c = 50.0\nbogus_key = 1.0")
@@ -66,9 +65,11 @@ class TestParsing:
         assert any(f"line {line_of_bogus}:" in e and "bogus_key" in e for e in err.value.errors)
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ScenarioFileError) as err:
-            parse_scenario_text(GOOD + "\n[laser]\npower = 1.0\n")
-        assert any("unknown section [laser]" in e for e in err.value.errors)
+        # [line] is not a section: depth_2l alone sets the absorber's strength
+        for section in ("laser", "line"):
+            with pytest.raises(ScenarioFileError) as err:
+                parse_scenario_text(GOOD + f"\n[{section}]\npower = 1.0\n")
+            assert any(f"unknown section [{section}]" in e for e in err.value.errors)
 
     def test_missing_required_section(self):
         with pytest.raises(ScenarioFileError) as err:
@@ -176,7 +177,6 @@ COMPLETE = {
         "depth_2l": 85.0,
         "center_offset": 0.0,
     },
-    "line": {"gamma_r": 5.75, "wavelength": 795.0, "density": 3.4e12},
     "sweep": {"axis": '"two-photon-detuning"', "start": -50.0, "stop": 50.0, "points": 401},
     "options": {
         "stokes_seed": 1.0,
@@ -231,11 +231,6 @@ PINNED_KEYS = {
         "gamma_cb": (float, True),
         "depth_2l": (float, True),
         "center_offset": (float, False),
-    },
-    "line": {
-        "gamma_r": (float, True),
-        "wavelength": (float, True),
-        "density": (float, True),
     },
     "sweep": {
         "axis": (str, True),
@@ -309,4 +304,4 @@ class TestSnapshot:
         snapshot = scenario_to_dict(scenario)
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot["eit"]["gamma_ge"] == 300.0
-        assert "line" not in snapshot
+        assert "absorber" not in scenario_to_dict(replace(scenario, absorber=None))

@@ -6,52 +6,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambda_mixer.errors import DomainError
-from lambda_mixer.model import AtomicLine, RamanAbsorber, ScanOptions, Scenario
+from lambda_mixer.model import RamanAbsorber, ScanOptions, Scenario
 from lambda_mixer.scan import absorber_loss_profile
 from lambda_mixer.susceptibility import (
-    chi_2ph,
     chi_abs,
     effective_depth,
     light_shift,
-    line_prefactor,
     normalized_lineshape,
     saturation_ratio,
-    susceptibility_depth_scale,
     two_photon_width,
 )
 
 
-def consistent_line(absorber: RamanAbsorber) -> AtomicLine:
-    """Line data whose prefactor maps the two-level peak exactly onto depth_2l."""
-    unit = AtomicLine(gamma_r=5.75, wavelength=795.0, density=1.0)
-    density = absorber.depth_2l * absorber.gamma_ab / line_prefactor(unit)
-    return replace(unit, density=density)
-
-
 class TestChiAbs:
-    def test_zero_raman_control_gives_zero(self, sec5_absorber, rb_line):
-        assert chi_abs(replace(sec5_absorber, omega_a=0.0), rb_line, 1.0) == 0
+    def test_zero_raman_control_gives_zero(self, sec5_absorber):
+        assert chi_abs(replace(sec5_absorber, omega_a=0.0), 1.0) == 0
 
-    def test_center_value_consistent_with_effective_depth(self, sec5_absorber, rb_line):
-        scale = susceptibility_depth_scale(sec5_absorber, rb_line)
+    def test_center_value_consistent_with_effective_depth(self, sec5_absorber):
         center = light_shift(sec5_absorber)
-        depth_from_chi = (chi_abs(sec5_absorber, rb_line, center) * scale).imag
+        depth_from_chi = chi_abs(sec5_absorber, center).imag
         depth_closed_form = effective_depth(sec5_absorber)
         assert depth_from_chi == pytest.approx(depth_closed_form, rel=5e-3)
         # the paper-rounded working point: r = 5e-5 reaches a depth near 16
         rounded = replace(sec5_absorber, omega_a=math.sqrt(5e-5) * 14700.0)
         assert effective_depth(rounded) == pytest.approx(16.139, abs=0.01)
 
-    def test_far_wing_decay_inverse_in_detuning(self, sec5_absorber, rb_line):
+    def test_far_wing_decay_inverse_in_detuning(self, sec5_absorber):
         # brute-force evaluation over a log-spaced grid of distances from the
         # line center, far against the width but small against delta_2
         center = light_shift(sec5_absorber)
         offsets = np.geomspace(1.0, 100.0, 25)
-        mags = np.array([abs(chi_abs(sec5_absorber, rb_line, center + x)) for x in offsets])
+        mags = np.array([abs(chi_abs(sec5_absorber, center + x)) for x in offsets])
         slope = np.polyfit(np.log(offsets), np.log(mags), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.02)
 
-    def test_singular_denominator_raises(self, rb_line):
+    def test_singular_denominator_raises(self):
         # requires the (unphysical, validation-rejected) coincidence of zero
         # decay on both coherences
         from lambda_mixer.errors import SingularityError
@@ -65,48 +54,7 @@ class TestChiAbs:
             depth_2l=1.0,
         )
         with pytest.raises(SingularityError):
-            chi_abs(pathological, rb_line, 1.0)
-
-    def test_scale_independent_of_density(self, sec5_absorber):
-        # the chi-to-depth conversion cancels the absolute density
-        line_a = AtomicLine(gamma_r=5.75, wavelength=795.0, density=1e12)
-        line_b = AtomicLine(gamma_r=5.75, wavelength=795.0, density=7e13)
-        center = light_shift(sec5_absorber)
-        val_a = chi_abs(sec5_absorber, line_a, center) * susceptibility_depth_scale(sec5_absorber, line_a)
-        val_b = chi_abs(sec5_absorber, line_b, center) * susceptibility_depth_scale(sec5_absorber, line_b)
-        assert val_a == pytest.approx(val_b, rel=1e-12)
-
-
-class TestChiTwoPhoton:
-    def test_zero_raman_control_gives_zero(self, sec5_absorber, rb_line):
-        assert chi_2ph(replace(sec5_absorber, omega_a=0.0), rb_line) == 0
-
-    def test_reaches_two_level_peak_as_gamma_cb_vanishes(self, sec5_absorber, rb_line):
-        absorber = replace(sec5_absorber, gamma_cb=1e-9)
-        two_level_peak = line_prefactor(rb_line) / absorber.gamma_ab
-        assert abs(chi_2ph(absorber, rb_line)) == pytest.approx(two_level_peak, rel=1e-6)
-
-    def test_agrees_with_chi_abs_at_line_center(self, sec5_absorber, rb_line):
-        center = light_shift(sec5_absorber)
-        assert chi_2ph(sec5_absorber, rb_line).imag == pytest.approx(
-            chi_abs(sec5_absorber, rb_line, center).imag, rel=0.05
-        )
-
-    def test_warns_outside_far_detuned_regime(self, sec5_absorber, rb_line):
-        near = replace(sec5_absorber, delta_2=2000.0)
-        with pytest.warns(UserWarning, match="far detuned"):
-            chi_2ph(near, rb_line)
-
-    def test_consistency_with_effective_depth_exact(self, sec5_absorber):
-        # same normalization constant on both routes: agreement to 1e-6
-        # whenever the detuning is large against gamma_ab
-        for delta_2 in (14700.0, 40000.0, 123456.0):
-            absorber = replace(sec5_absorber, delta_2=delta_2)
-            line = consistent_line(absorber)
-            scale = susceptibility_depth_scale(absorber, line)
-            assert (chi_2ph(absorber, line) * scale).imag == pytest.approx(
-                effective_depth(absorber), rel=1e-6
-            )
+            chi_abs(pathological, 1.0)
 
 
 class TestEffectiveDepth:
@@ -175,13 +123,13 @@ class TestLineshape:
             value = normalized_lineshape(center + sign * hwhm, center, hwhm)
             assert abs(value) ** 2 == pytest.approx(0.5, rel=1e-12)
 
-    def test_matches_exact_profile_within_two_percent(self, sec5_absorber, rb_line):
+    def test_matches_exact_profile_within_two_percent(self, sec5_absorber):
         # The physical idler response is the conjugate of the lineshape;
         # compare against the conjugated exact profile, normalized to its
         # own peak, over ten widths around the center.
         center, hwhm = shifted_line(sec5_absorber)
         deltas = np.linspace(center - 10 * hwhm, center + 10 * hwhm, 1001)
-        chis = np.array([chi_abs(sec5_absorber, rb_line, d) for d in deltas])
+        chis = np.array([chi_abs(sec5_absorber, d) for d in deltas])
         exact = np.conj(chis / chis[np.argmax(np.abs(chis))])
         approx = np.array([normalized_lineshape(d, center, hwhm) for d in deltas])
         assert np.max(np.abs(approx - exact)) < 0.02
