@@ -39,13 +39,6 @@ from .susceptibility import (
     normalized_lineshape,
     two_photon_width,
 )
-from .scan import (
-    SpectrumRecord,
-    asymmetry_metric,
-    default_detuning_spec,
-    sweep_absorber_depth,
-    sweep_detuning,
-)
 from .design import (
     DesignReport,
     bandwidth_check,
@@ -56,6 +49,25 @@ from .design import (
     solve_omega_a,
 )
 from .scenario import load_scenario, parse_scenario_text, resolve_scenario_path
+
+# served from .scan on first access: the sweep engine imports numpy, and the
+# design and noise calculus never needs it
+_SCAN_NAMES = {
+    "SpectrumRecord",
+    "asymmetry_metric",
+    "default_detuning_spec",
+    "sweep_absorber_depth",
+    "sweep_detuning",
+}
+
+
+def __getattr__(name):
+    if name in _SCAN_NAMES:
+        from . import scan
+
+        return getattr(scan, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -23,9 +23,9 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__, svgplot
+from . import __version__
 from .design import full_report
 from .errors import (
     DomainError,
@@ -33,17 +33,13 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .model import Scenario, SweepSpec
+from .model import DEPTH_AXIS, DETUNING_AXIS, Scenario, SweepSpec
 from .propagation import n_fwm, noise_suppression_ratio
-from .scan import (
-    DEPTH_AXIS,
-    DETUNING_AXIS,
-    SpectrumRecord,
-    sweep_absorber_depth,
-    sweep_detuning,
-)
 from .scenario import ScenarioFileError, load_scenario, scenario_to_dict
 from .susceptibility import effective_depth
+
+if TYPE_CHECKING:
+    from .scan import SpectrumRecord
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -160,6 +156,9 @@ _SCANS = {
 
 
 def _cmd_scan(args) -> int:
+    # imported here: the sweep engine loads numpy, which design and noise never need
+    from . import scan, svgplot
+
     _check_out(args)
     scenario, path = load_scenario(args.scenario)
     _reject_scenario_overwrite(args, path)
@@ -167,10 +166,10 @@ def _cmd_scan(args) -> int:
     sweep = scenario.sweep
     if args.command == "scan-detuning":
         spec = sweep if sweep and sweep.axis == DETUNING_AXIS else None
-        records = sweep_detuning(scenario, spec)
+        records = scan.sweep_detuning(scenario, spec)
     else:
         spec = sweep if sweep and sweep.axis == DEPTH_AXIS else DEFAULT_DABS_SPEC
-        records = sweep_absorber_depth(scenario, spec)
+        records = scan.sweep_absorber_depth(scenario, spec)
     row = attrgetter(*names)
     csv_text = "\n".join([header] + [",".join(map(_fmt, row(r))) for r in records]) + "\n"
     if args.out:

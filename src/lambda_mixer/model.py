@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Literal,
     NamedTuple,
@@ -32,13 +34,16 @@ from typing import (
     get_type_hints,
 )
 
-import numpy as np
-
 from .errors import ValidationError, Violation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 C_LIGHT = 299_792_458.0  # m/s
 MHZ = 1e6  # Hz per MHz
 MAX_SWEEP_POINTS = 100_000  # bounds one sweep's output; a depth scan times its inner grid
+SweepAxis = Literal["two-photon-detuning", "absorber-depth"]
+DETUNING_AXIS, DEPTH_AXIS = get_args(SweepAxis)
 
 
 def _rule(check: Callable[[float], bool], constraint: str, **default):
@@ -111,7 +116,15 @@ class FieldPair:
     a_i_dag: complex
 
 
+def _is_array(x) -> bool:
+    """Whether ``x`` is a numpy array, asked without importing numpy: an unloaded numpy made none."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def _frozen_2x2(m) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(m, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
@@ -137,7 +150,7 @@ class SweepSpec:
     start < stop; start > 0 on a logarithmic scale, start >= 0 on the absorber-depth axis.
     """
 
-    axis: Literal["two-photon-detuning", "absorber-depth"]
+    axis: SweepAxis
     start: float
     stop: float
     points: int = _rule(
@@ -146,6 +159,8 @@ class SweepSpec:
     scale: Literal["linear", "logarithmic"] = "linear"
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         if self.scale == "logarithmic":
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
@@ -278,7 +293,7 @@ def scenario_violations(s: Scenario) -> list[Violation]:
             v.append(
                 Violation("sweep.start", sweep.start, "must be positive on a logarithmic scale")
             )
-        elif sweep.axis == "absorber-depth" and sweep.start < 0:
+        elif sweep.axis == DEPTH_AXIS and sweep.start < 0:
             v.append(
                 Violation("sweep.start", sweep.start, "must be nonnegative on the absorber-depth axis")
             )

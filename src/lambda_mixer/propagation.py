@@ -29,11 +29,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, IntegrationError, SingularityError
-from .model import CouplingMatrix, EitMedium, FieldPair, _frozen_2x2
+from .model import CouplingMatrix, EitMedium, FieldPair, _frozen_2x2, _is_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MATRIX_EXPONENTIAL = "matrix-exponential"
 ADAPTIVE_RK = "adaptive-rk"
@@ -72,7 +74,7 @@ def coupling_entries(
         m00 = -1j * k / (delta + 1j * g)
         return m00, 0j, 0j, -absorber_loss
     den = (delta + 1j * gs) * (delta + 1j * g) - w * w
-    if not isinstance(den, np.ndarray) and den == 0:
+    if not _is_array(den) and den == 0:
         raise SingularityError(f"coherence denominator vanished at delta = {delta!r} MHz")
     fwm = 1j * k * (w * w / dl) / den
     m00 = -1j * k * (delta + 1j * gs) / den
@@ -88,7 +90,7 @@ def build_coupling_matrix(
     absorber_loss is subtracted from the idler's diagonal entry verbatim.
     """
     m00, m01, m10, m11 = coupling_entries(eit, absorber_loss, delta)
-    return CouplingMatrix(m=np.array([[m00, m01], [m10, m11]]), delta=delta)
+    return CouplingMatrix(m=[[m00, m01], [m10, m11]], delta=delta)
 
 
 def _series(emu, q2):
@@ -114,7 +116,9 @@ def expm2(
     mu = 0.5 * (m00 + m11)
     a = 0.5 * (m00 - m11)  # A = [[a, m01], [m10, -a]]
     q2 = a * a + m01 * m10
-    if isinstance(q2, np.ndarray):
+    if _is_array(q2):
+        import numpy as np
+
         mu, q2 = np.broadcast_arrays(mu, q2)
         q = np.sqrt(q2)
         small = np.abs(q) <= _SERIES_Q
@@ -135,7 +139,8 @@ def expm2(
 
 
 def _transfer_adaptive(m: np.ndarray) -> np.ndarray:
-    # imported here: slower to import than the whole package, and only this needs it
+    import numpy as np
+    # scipy.integrate is slower to import than the whole package, and only this needs it
     from scipy.integrate import solve_ivp
 
     columns = []

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import EitMedium, Scenario, SweepSpec
+from .model import DEPTH_AXIS, DETUNING_AXIS, EitMedium, Scenario, SweepSpec
 from .propagation import coupling_entries, expm2
 from .susceptibility import (
     chi_abs,
@@ -24,9 +24,6 @@ from .susceptibility import (
     normalized_lineshape,
     two_photon_width,
 )
-
-DETUNING_AXIS = "two-photon-detuning"
-DEPTH_AXIS = "absorber-depth"
 
 DEFAULT_DETUNING_POINTS = 401
 DEFAULT_WINDOW_WIDTHS = 20.0
@@ -211,14 +208,18 @@ def sweep_absorber_depth(
     """Peak probe/Stokes outputs as a function of the effective absorber depth.
 
     The scenario's absorber sets the line shape; its effective depth is
-    replaced by each grid value in turn.  workers is accepted for
-    compatibility and ignored, as in sweep_detuning.
+    replaced by each grid value in turn, which must be nonnegative.  workers
+    is accepted for compatibility and ignored, as in sweep_detuning.
     """
     if spec.axis != DEPTH_AXIS:
         raise DomainError(f"sweep_absorber_depth requires axis {DEPTH_AXIS!r}, got {spec.axis!r}")
     if inner_spec is None:
         inner_spec = default_detuning_spec(scenario.eit)
     depths = spec.grid()
+    if not np.all(depths >= 0.0):  # also catches NaN
+        raise DomainError(
+            f"absorber depths must be nonnegative numbers, got {spec.start!r} .. {spec.stop!r}"
+        )
     profile, _ = absorber_loss_profile(scenario)
     if profile is _no_loss and np.any(depths != 0.0):
         raise DomainError(

@@ -15,10 +15,8 @@ close to :func:`effective_depth`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import SingularityError, ValidationError, Violation
-from .model import RamanAbsorber
+from .model import RamanAbsorber, _is_array
 
 
 def saturation_ratio(absorber: RamanAbsorber) -> float:
@@ -47,7 +45,7 @@ def chi_abs(absorber: RamanAbsorber, delta_2_probe: float) -> complex:
         * (delta_2_probe - 1j * absorber.gamma_cb)
         - absorber.omega_a**2
     )
-    if not isinstance(den, np.ndarray) and den == 0:
+    if not _is_array(den) and den == 0:
         raise SingularityError(
             f"susceptibility denominator vanished at delta_2 = {delta_2_probe!r} MHz"
         )

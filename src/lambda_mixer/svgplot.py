@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .scan import SpectrumRecord
+if TYPE_CHECKING:
+    from .scan import SpectrumRecord
 
 PANEL_W = 800
 PANEL_H = 500

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import asdict
 from pathlib import Path
 
@@ -350,6 +351,7 @@ class TestInvocation:
 
     def test_flagged_points_exit_numerical(self, tmp_path, capsys, monkeypatch):
         import lambda_mixer.cli as cli
+        from lambda_mixer import scan
         from lambda_mixer.scan import SpectrumRecord
 
         flagged = [
@@ -362,7 +364,7 @@ class TestInvocation:
                 flagged=True,
             )
         ]
-        monkeypatch.setattr(cli, "sweep_detuning", lambda *a, **k: flagged)
+        monkeypatch.setattr(scan, "sweep_detuning", lambda *a, **k: flagged)
         out = tmp_path / "flagged.csv"
         code = main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
@@ -407,6 +409,32 @@ class TestInvocation:
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_cold_path_leaves_numpy_unloaded(self):
+        # import, validation, design and noise are closed-form; only the scans need numpy
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+
+            import lambda_mixer
+            loaded = ["import lambda_mixer"] if "numpy" in sys.modules else []
+            import lambda_mixer.cli as cli
+            loaded += ["import lambda_mixer.cli"] if "numpy" in sys.modules else []
+            codes = []
+            for command in (["design"], ["design", "--json"], ["noise"]):
+                for name in ("sec5_proposed_mix", "sec5_as_performed"):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        codes.append(cli.main([*command, "--scenario", name]))
+                    loaded += [f"{command} {name}"] if "numpy" in sys.modules else []
+            print(codes, loaded)
+            namespace = {}
+            exec("from lambda_mixer import *", namespace)
+            print(sorted(set(lambda_mixer.__all__) - set(namespace)))
+            """
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [f"{[EXIT_DESIGN_FAIL] * 4 + [EXIT_OK] * 2} []", "[]"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lambda_mixer.errors import DomainError, IntegrationError, SingularityError
-from lambda_mixer.model import CouplingMatrix, EitMedium, FieldPair
+from lambda_mixer.model import CouplingMatrix, EitMedium, FieldPair, RamanAbsorber
 from lambda_mixer.propagation import (
     analytic_resonant_output,
     approx_output_with_absorber,
@@ -21,7 +21,7 @@ from lambda_mixer.propagation import (
     noise_suppression_ratio,
     propagate,
 )
-from lambda_mixer.susceptibility import normalized_lineshape
+from lambda_mixer.susceptibility import chi_abs, normalized_lineshape
 
 RNG_SEED = 20240811
 
@@ -108,6 +108,48 @@ class TestExpm2:
         assert np.abs(ours - reference).max() < 1e-12
         assert abs(ours[1, 1]) == pytest.approx(0.01 / 800.0**2, rel=1e-3)
         assert abs(ours[0, 0]) == pytest.approx(1.0, abs=1e-4)
+
+
+# zero decay on every coherence makes each kernel's denominator vanish at detuning 1.0
+SINGULAR_EIT = EitMedium(gamma_ge=0.0, gamma_gs=0.0, delta_control=3036.0, omega_c=1.0, depth=1.0)
+SINGULAR_ABSORBER = RamanAbsorber(
+    omega_a=math.sqrt(101.0), delta_2=100.0, gamma_ab=0.0, gamma_ac=1.0, gamma_cb=0.0, depth_2l=1.0
+)
+
+
+class TestBranchDispatch:
+    """Scalars of every numeric type take the cmath branch; numpy arrays broadcast."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        [float, int, complex, np.float32, np.float64, np.complex128],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_scalars_take_the_cmath_branch(self, kind):
+        values = (
+            *expm2(kind(1), kind(0), kind(0), kind(1)),
+            *coupling_entries(SINGULAR_EIT, 0j, kind(2)),
+            chi_abs(SINGULAR_ABSORBER, kind(2)),
+        )
+        assert all(isinstance(v, (complex, np.complexfloating)) for v in values)
+        with pytest.raises(OverflowError):
+            expm2(kind(1000), kind(0), kind(0), kind(1))
+        with pytest.raises(SingularityError):
+            coupling_entries(SINGULAR_EIT, 0j, kind(1))
+        with pytest.raises(SingularityError):
+            chi_abs(SINGULAR_ABSORBER, kind(1))
+
+    def test_one_element_array_takes_the_array_branch(self):
+        one = np.array([1.0])
+        with np.errstate(all="ignore"):
+            results = (
+                expm2(1000.0 * one, 0j, 0j, 1.0),
+                coupling_entries(SINGULAR_EIT, 0j, one),
+                (chi_abs(SINGULAR_ABSORBER, one),),
+            )
+        for values in results:
+            assert all(isinstance(v, np.ndarray) and v.shape == (1,) for v in values)
+            assert not np.isfinite(np.array(values)).all()
 
 
 def assert_columns_match_scalar(got, scalar_fn, args):
@@ -203,7 +245,8 @@ def assert_matches_mpmath(matrices):
     """
     import mpmath
 
-    array = np.array(np.broadcast_arrays(*expm2(*np.array(matrices).T)))
+    with np.errstate(all="ignore"):  # entries beyond the double range are checked below
+        array = np.array(np.broadcast_arrays(*expm2(*np.array(matrices).T)))
     with mpmath.workdps(40):
         for j, m in enumerate(matrices):
             exact = mpmath.expm(mpmath.matrix([[m[0], m[1]], [m[2], m[3]]]))

@@ -233,6 +233,16 @@ class TestDepthSweep:
         with pytest.raises(DomainError):
             sweep_absorber_depth(fig2_scenario, default_detuning_spec(fig2_scenario.eit))
 
+    def test_negative_or_nan_depth_rejected(self, fig2_scenario):
+        # a negative depth is a gain no absorber can produce; NaN is no depth at all
+        with pytest.raises(DomainError, match="nonnegative"):
+            peak_outputs(fig2_scenario, -5.0)
+        with pytest.raises(DomainError, match="nonnegative"):
+            peak_outputs(fig2_scenario, math.nan)
+        spec = SweepSpec(axis="absorber-depth", start=-1.0, stop=1.0, points=3)
+        with pytest.raises(DomainError, match="nonnegative"):
+            sweep_absorber_depth(fig2_scenario, spec)
+
     def test_shapeless_scenario_rejected(self, fig2_scenario):
         # a depth override is meaningless without an absorber line shape
         bare = replace(fig2_scenario, absorber=None)
