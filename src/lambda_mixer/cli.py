@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -39,7 +40,7 @@ from .scenario import ScenarioFileError, load_scenario, scenario_to_dict
 from .susceptibility import effective_depth
 
 if TYPE_CHECKING:
-    from .scan import SpectrumRecord
+    from .scan import Sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,16 +111,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run_record(command: str, scenario: Scenario, records: Sequence[SpectrumRecord]) -> dict:
+def _run_record(command: str, scenario: Scenario, sweep: Sweep) -> dict:
     return {
         "tool": "lambda-mixer",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "scenario": scenario_to_dict(scenario),
-        "results": [r._asdict() for r in records],
-        "flagged_points": [r.axis_value for r in records if r.flagged],
+        "results": [r._asdict() for r in sweep],
+        "flagged_points": sweep.axis_value[sweep.flagged].tolist(),
     }
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it.
+
+    A write that fails leaves ``path`` as it was and removes the temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:  # created with the mode write_text gives
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _check_out(args) -> None:
@@ -140,7 +156,7 @@ def _reject_scenario_overwrite(args, scenario_path: Path) -> None:
             raise _UsageError(f"{path} is the scenario file being read; pick another --out")
 
 
-# command -> (CSV header, SpectrumRecord fields per CSV row, svgplot renderer)
+# command -> (CSV header, Sweep columns per CSV row, svgplot renderer)
 _SCANS = {
     "scan-detuning": (
         DETUNING_CSV_HEADER,
@@ -166,27 +182,27 @@ def _cmd_scan(args) -> int:
     sweep = scenario.sweep
     if args.command == "scan-detuning":
         spec = sweep if sweep and sweep.axis == DETUNING_AXIS else None
-        records = scan.sweep_detuning(scenario, spec)
+        result = scan.sweep_detuning(scenario, spec)
     else:
         spec = sweep if sweep and sweep.axis == DEPTH_AXIS else DEFAULT_DABS_SPEC
-        records = scan.sweep_absorber_depth(scenario, spec)
-    row = attrgetter(*names)
-    csv_text = "\n".join([header] + [",".join(map(_fmt, row(r))) for r in records]) + "\n"
+        result = scan.sweep_absorber_depth(scenario, spec)
+    columns = [column.tolist() for column in attrgetter(*names)(result)]
+    csv_text = "\n".join([header, *(",".join(map(_fmt, row)) for row in zip(*columns))]) + "\n"
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        _write_atomic(Path(args.out), csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.json:
-        sidecar = Path(args.out).with_suffix(".json")
-        sidecar.write_text(_json_text(_run_record(args.command, scenario, records)) + "\n")
+        record = _run_record(args.command, scenario, result)
+        _write_atomic(Path(args.out).with_suffix(".json"), _json_text(record) + "\n")
     if args.svg:
         # looked up per call, so a rebinding of the svgplot function is honoured
         render = getattr(svgplot, renderer)
-        Path(args.out).with_suffix(".svg").write_text(render(records), encoding="utf-8")
-    flagged = [r.axis_value for r in records if r.flagged]
+        _write_atomic(Path(args.out).with_suffix(".svg"), render(result))
+    flagged = result.axis_value[result.flagged].tolist()
     if flagged:
         print(
-            f"warning: {len(flagged)} of {len(records)} grid point(s) failed numerically "
+            f"warning: {len(flagged)} of {len(result)} grid point(s) failed numerically "
             f"(axis {min(flagged):.6g} .. {max(flagged):.6g})",
             file=sys.stderr,
         )

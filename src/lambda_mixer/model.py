@@ -34,7 +34,7 @@ from typing import (
     get_type_hints,
 )
 
-from .errors import ValidationError, Violation
+from .errors import DomainError, ValidationError, Violation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,6 +161,11 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         import numpy as np
 
+        if not math.isfinite(self.stop - self.start):  # also an inf or nan endpoint
+            raise DomainError(
+                "sweep start, stop and their difference must be finite, "
+                f"got {self.start!r} .. {self.stop!r}"
+            )
         if self.scale == "logarithmic":
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)

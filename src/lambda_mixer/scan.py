@@ -4,12 +4,17 @@ Grid points are independent.  Sweeps evaluate them through the broadcasting
 propagation kernels, at most BLOCK points per numpy pass, which bounds the
 temporaries whatever the grid size.  A point with a non-finite output (a
 singular denominator or an overflow) is flagged and zeroed.
+
+A sweep returns a Sweep: a sequence of SpectrumRecord built on demand from
+six read-only numpy columns, which it also exposes by name and as .columns.
+A depth scan refines the peaks of all its rows in one array pass.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -44,6 +49,43 @@ class SpectrumRecord(NamedTuple):
     absorber_profile: float
     eit_reference: float
     flagged: bool = False
+
+
+class Sweep(Sequence[SpectrumRecord]):
+    """The result of a sweep: one read-only numpy column per SpectrumRecord field.
+
+    The columns are attributes named after the fields, and .columns in field
+    order.  As a sequence it holds one SpectrumRecord per grid point, built
+    when indexed or iterated; no record is kept.  It compares equal to a
+    list of the same records.
+    """
+
+    __slots__ = SpectrumRecord._fields
+
+    def __init__(self, *columns: np.ndarray):
+        for name, column in zip(self.__slots__, columns, strict=True):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.axis_value)
+
+    def __getitem__(self, i: int) -> SpectrumRecord:
+        return SpectrumRecord._make(column[i].item() for column in self.columns)
+
+    def __iter__(self) -> Iterator[SpectrumRecord]:
+        # SpectrumRecord._make without its Python-level call per record
+        rows = zip(*(column.tolist() for column in self.columns))
+        return map(tuple.__new__, repeat(SpectrumRecord), rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Sweep):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 def eit_linewidth(eit: EitMedium) -> float:
@@ -108,8 +150,8 @@ def absorber_loss_profile(
 def _row_groups(eit: EitMedium, profile, deltas, depths, seed: float) -> Iterator[tuple]:
     """Evaluate the depths x deltas grid, at most BLOCK points per numpy pass.
 
-    Yields (depths, values, flags) for consecutive groups of rows: as many
-    whole rows as fit in BLOCK points, or one row split into blocks.  values
+    Yields (values, flags) for consecutive groups of rows: as many whole
+    rows as fit in BLOCK points, or one row split into blocks.  values
     stacks probe, Stokes, |profile|^2 and EIT reference, shape (4, rows,
     len(deltas)); a point where any of them is not finite is flagged and zeroed.
     """
@@ -120,8 +162,8 @@ def _row_groups(eit: EitMedium, profile, deltas, depths, seed: float) -> Iterato
         values = np.empty((4, len(rows), n))
         for c in range(0, n, BLOCK):
             delta = deltas[c : c + BLOCK]
-            lam = profile(delta)
             with np.errstate(all="ignore"):
+                lam = profile(delta)
                 m00, m01, m10, m11 = coupling_entries(eit, rows[:, None] * lam, delta)
                 t00, t01, t10, t11 = expm2(m00, m01, m10, m11)
                 outputs = (
@@ -134,14 +176,14 @@ def _row_groups(eit: EitMedium, profile, deltas, depths, seed: float) -> Iterato
                 out[...] = value
         flagged = ~np.isfinite(values).all(axis=0)
         values[:, flagged] = 0.0
-        yield rows, values, flagged
+        yield values, flagged
 
 
 def sweep_detuning(
     scenario: Scenario,
     spec: Optional[SweepSpec] = None,
     workers: Optional[int] = None,
-) -> list[SpectrumRecord]:
+) -> Sweep:
     """Transmission spectrum versus two-photon detuning.
 
     workers is accepted for compatibility and ignored: the grid is evaluated
@@ -153,15 +195,14 @@ def sweep_detuning(
         raise DomainError(f"sweep_detuning requires axis {DETUNING_AXIS!r}, got {spec.axis!r}")
     profile, depth = absorber_loss_profile(scenario)
     grid = spec.grid()
-    _, values, flagged = next(
+    values, flagged = next(
         _row_groups(scenario.eit, profile, grid, np.array([depth]), scenario.options.stokes_seed)
     )
     probe, stokes, shape, reference = values[:, 0]
     peak = stokes.max(initial=0.0)  # flagged points are zero
     if scenario.options.normalize_stokes == "max" and peak > 0.0:
         stokes = stokes / peak
-    columns = (grid, probe, stokes, shape, reference, flagged[0])
-    return list(map(SpectrumRecord, *(c.tolist() for c in columns)))
+    return Sweep(grid, probe, stokes, shape, reference, flagged[0])
 
 
 def _refined_peak(values: np.ndarray) -> float:
@@ -176,17 +217,41 @@ def _refined_peak(values: np.ndarray) -> float:
     return y1 - 0.125 * (y2 - y0) ** 2 / curv
 
 
-def _peak_record(depth: float, values: np.ndarray, flagged: np.ndarray) -> SpectrumRecord:
-    """Refined row peaks over the clean points, or over all points if none is clean."""
-    probe, stokes, shape, reference = values if flagged.all() else values[:, ~flagged]
-    return SpectrumRecord(
-        axis_value=depth,
-        probe_transmission=_refined_peak(probe),
-        stokes_output=_refined_peak(stokes),
-        absorber_profile=float(shape[np.argmax(probe)]),
-        eit_reference=_refined_peak(reference),
-        flagged=bool(flagged.any()),
-    )
+def _row_peaks(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """Peaks of each row of values (4, rows, n), shape (4, rows).
+
+    The probe, Stokes and reference peaks are refined as by _refined_peak,
+    bit for bit; the profile is read at the probe's grid maximum.  Rows with
+    no flagged point go through one array pass.  A row with one is refined
+    over its clean points alone, or over all points if none is clean.
+    """
+    kinds, rows, n = values.shape
+    dirty = flagged.any(axis=1)
+    at = values.argmax(axis=-1)  # the first maximum, as np.argmax
+    kind, row = np.arange(kinds)[:, None], np.arange(rows)
+    y0 = values[kind, row, np.maximum(at - 1, 0)]
+    peaks = values[kind, row, at]
+    y2 = values[kind, row, np.minimum(at + 1, n - 1)]
+    with np.errstate(all="ignore"):  # IEEE inf and nan, as Python float arithmetic gives
+        curv = y0 - 2.0 * peaks + y2
+        refine = (at > 0) & (at < n - 1) & ~(curv >= 0.0) & ~dirty
+        refine[2] = False  # the profile is not refined
+        # squared by Python's float pow, as in _refined_peak: numpy squares by
+        # multiplying, which rounds differently for about 1 value in 1,000,
+        # and gives inf where Python raises OverflowError
+        square = np.array([d**2 for d in (y2 - y0)[refine].tolist()])
+        peaks[refine] -= 0.125 * square / curv[refine]
+    peaks[2] = values[2, row, at[0]]
+    for r in np.flatnonzero(dirty):
+        clean = values[:, r] if flagged[r].all() else values[:, r, ~flagged[r]]
+        probe, stokes, shape, reference = clean
+        peaks[:, r] = (
+            _refined_peak(probe),
+            _refined_peak(stokes),
+            shape[np.argmax(probe)],
+            _refined_peak(reference),
+        )
+    return peaks
 
 
 def peak_outputs(
@@ -204,7 +269,7 @@ def sweep_absorber_depth(
     spec: SweepSpec,
     workers: Optional[int] = None,
     inner_spec: Optional[SweepSpec] = None,
-) -> list[SpectrumRecord]:
+) -> Sweep:
     """Peak probe/Stokes outputs as a function of the effective absorber depth.
 
     The scenario's absorber sets the line shape; its effective depth is
@@ -215,22 +280,24 @@ def sweep_absorber_depth(
         raise DomainError(f"sweep_absorber_depth requires axis {DEPTH_AXIS!r}, got {spec.axis!r}")
     if inner_spec is None:
         inner_spec = default_detuning_spec(scenario.eit)
-    depths = spec.grid()
-    if not np.all(depths >= 0.0):  # also catches NaN
+    if not (spec.start >= 0.0 and spec.stop >= 0.0):  # also catches NaN; the grid lies between
         raise DomainError(
             f"absorber depths must be nonnegative numbers, got {spec.start!r} .. {spec.stop!r}"
         )
+    depths = spec.grid()
     profile, _ = absorber_loss_profile(scenario)
     if profile is _no_loss and np.any(depths != 0.0):
         raise DomainError(
             "overriding the absorber depth requires an absorber section "
             "with a derivable line shape"
         )
-    records = []
     inner, seed = inner_spec.grid(), scenario.options.stokes_seed
-    for rows, values, flagged in _row_groups(scenario.eit, profile, inner, depths, seed):
-        records += map(_peak_record, rows.tolist(), values.swapaxes(0, 1), flagged)
-    return records
+    groups = [
+        (_row_peaks(values, flagged), flagged.any(axis=1))
+        for values, flagged in _row_groups(scenario.eit, profile, inner, depths, seed)
+    ]
+    peaks, flagged = (np.concatenate(parts, axis=-1) for parts in zip(*groups))
+    return Sweep(depths, *peaks, flagged)
 
 
 def asymmetry_metric(records: Sequence[SpectrumRecord]) -> float:

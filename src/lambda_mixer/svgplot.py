@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    from .scan import SpectrumRecord
+    from .scan import Sweep
 
 PANEL_W = 800
 PANEL_H = 500
@@ -135,13 +135,13 @@ def _document(panels: Sequence[str]) -> str:
     )
 
 
-def render_detuning_scan(records: Sequence[SpectrumRecord], title: str = "") -> str:
+def render_detuning_scan(sweep: Sweep, title: str = "") -> str:
     """Probe and Stokes panels versus two-photon detuning, absorber profile dashed."""
-    deltas = [r.axis_value for r in records]
-    probe = [r.probe_transmission for r in records]
-    stokes = [r.stokes_output for r in records]
-    absorber = [r.absorber_profile for r in records]
-    reference = [r.eit_reference for r in records]
+    deltas = sweep.axis_value.tolist()
+    probe = sweep.probe_transmission.tolist()
+    stokes = sweep.stokes_output.tolist()
+    absorber = sweep.absorber_profile.tolist()
+    reference = sweep.eit_reference.tolist()
     top = _panel(
         [
             Series("probe transmission", deltas, probe, _COLORS[0]),
@@ -166,13 +166,13 @@ def render_detuning_scan(records: Sequence[SpectrumRecord], title: str = "") -> 
     return _document([top, bottom])
 
 
-def render_depth_scan(records: Sequence[SpectrumRecord], title: str = "") -> str:
+def render_depth_scan(sweep: Sweep, title: str = "") -> str:
     """Peak probe and Stokes outputs versus absorber depth (log axis when spanning decades)."""
-    depths = [r.axis_value for r in records]
+    depths = sweep.axis_value.tolist()
     log_x = min(depths) > 0 and max(depths) / min(depths) > 50
-    probe = [r.probe_transmission for r in records]
-    stokes = [r.stokes_output for r in records]
-    reference = [r.eit_reference for r in records]
+    probe = sweep.probe_transmission.tolist()
+    stokes = sweep.stokes_output.tolist()
+    reference = sweep.eit_reference.tolist()
     top = _panel(
         [
             Series("probe peak", depths, probe, _COLORS[0]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -277,6 +278,102 @@ class TestScanCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == [scenario_name]
 
 
+# SHA-256 of the CSV and of the SVG that `COMMAND --scenario NAME --out o.csv --svg`
+# writes, recorded with numpy 2.4 on x86-64 when the sweeps still returned lists of
+# records.  numpy builds that round their transcendental kernels differently would
+# change the last digits, and with them these digests.
+GOLDEN = {
+    ("scan-detuning", "fig2_default"): (
+        "9fddb87f1bd4523af1f2fdc1e278898755d17761510848a4a83ed0c2582b9b19",
+        "ed4dc8e9dbbe312f358230bbf994189097a98114bba35557ac7aebcb52821d99",
+    ),
+    ("scan-detuning", "fig4_dabs_0.83"): (
+        "dece38045f751473eac2583b3fd05b4fcdd2eb512bf79aee0b725cdb26b00a0a",
+        "cf4a4c114c882529a44fad2ec53b3881af78d02859c4382dc7a17eaa174cfd74",
+    ),
+    ("scan-detuning", "fig4_dabs_4.16"): (
+        "1368ba38f85fc9d72540397e27f87dcb9d60be70bde97128176aa7bae7ee24cd",
+        "027b4379e982757957caae27a0c14645d5a8518e2af94d09c0837e1ad043c0e3",
+    ),
+    ("scan-detuning", "fig4_dabs_41.6"): (
+        "30534be5e4d29c11ec4f4302a9a37e13304b93d11ca8b560a316c22661392a75",
+        "dc839149ee9ec33e0b0ffc6db8d6bd0cb3c1dc6415738319a53df9db488ebdc4",
+    ),
+    ("scan-detuning", "sec5_as_performed"): (
+        "1379843d08bc8e709cd7a99690136f94158eadfaf7e977a9b3f6eb1e2360f5f2",
+        "f5c0f3acc68e8d49ab2feb01ad269a9b58e4e7f0eb4b9fc32f7c6e2ada90da8f",
+    ),
+    ("scan-detuning", "sec5_proposed_mix"): (
+        "c3d2e3b7bc486b819c20c833bef24c3fd8ec2cd05f3e656f0d43518a033eec4a",
+        "4569400fbd7102cb4e980f2ef6982067ea2c05f28c1ea12bdd937ef0c3b0e529",
+    ),
+    ("scan-dabs", "fig2_default"): (
+        "412df8d32835ab5ef33839ec81d32fc7ffdcc1d45e389b397b8bbdfbe507bb22",
+        "aadf5e822859360b42161d553127352085f8cf3b18d0b64f8e6884d529f07d4d",
+    ),
+    ("scan-dabs", "fig4_dabs_0.83"): (
+        "e6f22195ce39534e2e6dd468cc69406859872e4be5ede37cd7e6feaecc4b0fa2",
+        "050b5ea61d1c3aaa07dca3631dede713c2ff5e84e9576e7f723046186931fce7",
+    ),
+    ("scan-dabs", "fig4_dabs_4.16"): (
+        "3c663bd449c4d742431b0883b1fa6be53ec080b891128d4253a2358a70a1aaaf",
+        "e59b84091072b75f34c7082990e836a31d8bfc3e7175d77ef9c4f161e63f009b",
+    ),
+    ("scan-dabs", "fig4_dabs_41.6"): (
+        "8dea73df5dad7bad3aae7b2046384cbb42bedafc7b351f5618e5e601cd9a18c6",
+        "c471389093e74c76872e3d7704121f4e28a620e96eea287223664ea8975b2383",
+    ),
+    ("scan-dabs", "sec5_as_performed"): (
+        "94c2e6a769e07396d1bf9ce5993645bb7d427d6ac4d2f1ed6af655b530b75653",
+        "7d234edab9d31ef4ca51ab0c4f2b89360893624dcc67588dda8e31a836555ab3",
+    ),
+    ("scan-dabs", "sec5_proposed_mix"): (
+        "ec29283cbe0c8ce467f155741b27b0275314d4d9c14f27790e586265854e1e0e",
+        "b7240b2e39d4e2cb24eb8ca0ab6bc7ab227d76d9e9ab0863294c4a42c01b13cc",
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command, name", sorted(GOLDEN), ids="-".join)
+    def test_csv_svg_and_stdout_bytes(self, tmp_path, capsys, command, name):
+        out = tmp_path / "o.csv"
+        assert main([command, "--scenario", name, "--out", str(out), "--svg"]) == EXIT_OK
+        assert main([command, "--scenario", name]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.encode() == out.read_bytes()
+        files = (out, out.with_suffix(".svg"))
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in files) == GOLDEN[command, name]
+
+
+class TestAtomicWrites:
+    def test_failed_render_leaves_old_svg(self, tmp_path, monkeypatch):
+        # a lone surrogate cannot be encoded, so the write fails after the file is opened
+        from lambda_mixer import svgplot
+
+        out = tmp_path / "scan.csv"
+        out.with_suffix(".svg").write_text("old svg")
+        monkeypatch.setattr(svgplot, "render_depth_scan", lambda sweep: "<svg>\ud800</svg>")
+        with pytest.raises(UnicodeEncodeError):
+            main(["scan-dabs", "--scenario", "fig2_default", "--out", str(out), "--svg"])
+        assert out.with_suffix(".svg").read_text() == "old svg"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv", "scan.svg"]
+
+    def test_failed_replace_leaves_old_csv(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        out = tmp_path / "scan.csv"
+        out.write_text("old csv")
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out)])
+        assert code == EXIT_IO
+        assert "cannot replace" in capsys.readouterr().err
+        assert out.read_text() == "old csv"
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+
 class TestDesign:
     def test_proposed_mix_table(self, capsys):
         code = main(["design", "--scenario", "sec5_proposed_mix"])
@@ -352,18 +449,9 @@ class TestInvocation:
     def test_flagged_points_exit_numerical(self, tmp_path, capsys, monkeypatch):
         import lambda_mixer.cli as cli
         from lambda_mixer import scan
-        from lambda_mixer.scan import SpectrumRecord
+        from lambda_mixer.scan import Sweep
 
-        flagged = [
-            SpectrumRecord(
-                axis_value=0.0,
-                probe_transmission=0.0,
-                stokes_output=0.0,
-                absorber_profile=0.0,
-                eit_reference=0.0,
-                flagged=True,
-            )
-        ]
+        flagged = Sweep(*(np.zeros(1) for _ in range(5)), np.ones(1, dtype=bool))
         monkeypatch.setattr(scan, "sweep_detuning", lambda *a, **k: flagged)
         out = tmp_path / "flagged.csv"
         code = main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(out)])

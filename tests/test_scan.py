@@ -4,12 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lambda_mixer.errors import DomainError, SingularityError
 from lambda_mixer.model import EitMedium, ScanOptions, Scenario, SweepSpec
 from lambda_mixer.propagation import coupling_entries, expm2
 from lambda_mixer.scan import (
     SpectrumRecord,
+    Sweep,
+    _refined_peak,
+    _row_peaks,
     absorber_loss_profile,
     asymmetry_metric,
     default_detuning_spec,
@@ -259,6 +264,176 @@ class TestDepthSweep:
         )
         strong = peak_outputs(dark, 50.0)
         assert strong.probe_transmission == pytest.approx(0.95, rel=0.02)
+
+
+class TestSweepContract:
+    """A Sweep is a sequence of SpectrumRecord over read-only columns."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, fig4_scenarios):
+        return sweep_detuning(fig4_scenarios["4.16"])
+
+    def test_length_and_indexing(self, sweep):
+        assert len(sweep) == 401
+        assert sweep[0].axis_value == sweep.axis_value[0]
+        assert sweep[-1] == sweep[400]
+        assert sweep[-401] == sweep[0]
+        with pytest.raises(IndexError):
+            sweep[401]
+        with pytest.raises(IndexError):
+            sweep[-402]
+
+    def test_records_are_plain_python(self, sweep):
+        record = sweep[7]
+        assert type(record) is SpectrumRecord
+        assert [type(v) for v in record] == [float] * 5 + [bool]
+
+    def test_iteration_matches_indexing(self, sweep):
+        records = list(sweep)
+        assert records == [sweep[i] for i in range(len(sweep))]
+        assert all(type(r) is SpectrumRecord for r in records)
+
+    def test_equal_to_its_list_of_records(self, sweep):
+        records = list(sweep)
+        assert sweep == records and records == sweep
+        assert sweep == Sweep(*sweep.columns)
+        assert sweep != records[:-1]
+        assert sweep != [r._replace(flagged=True) for r in records]
+        assert sweep != tuple(records)
+
+    def test_columns_are_read_only(self, sweep):
+        assert len(sweep.columns) == len(SpectrumRecord._fields)
+        for name, column in zip(SpectrumRecord._fields, sweep.columns):
+            assert column is getattr(sweep, name)
+            assert not column.flags.writeable
+            assert len(column) == len(sweep)
+        with pytest.raises(ValueError):
+            sweep.probe_transmission[0] = 1.0
+        assert sweep.flagged.dtype == bool
+
+    def test_depth_scan_and_peak_outputs(self, fig2_scenario):
+        spec = SweepSpec(axis="absorber-depth", start=1.0, stop=2.0, points=2)
+        scan = sweep_absorber_depth(fig2_scenario, spec)
+        assert isinstance(scan, Sweep)
+        assert not any(column.flags.writeable for column in scan.columns)
+        one = peak_outputs(fig2_scenario, 2.0)
+        assert type(one) is SpectrumRecord
+        assert one == scan[1]
+
+    def test_asymmetry_metric_takes_sweep_or_list(self, sweep):
+        assert asymmetry_metric(sweep) == asymmetry_metric(list(sweep))
+
+
+def reference_row_peaks(values, flagged):
+    """Row peaks one row at a time, as depth scans refined them before the array pass."""
+    peaks = []
+    for row, flags in zip(values.swapaxes(0, 1), flagged):
+        probe, stokes, shape, reference = row if flags.all() else row[:, ~flags]
+        peaks.append(
+            (
+                _refined_peak(probe),
+                _refined_peak(stokes),
+                float(shape[np.argmax(probe)]),
+                _refined_peak(reference),
+            )
+        )
+    return np.array(peaks).T
+
+
+@st.composite
+def peak_blocks(draw):
+    """(values, flagged) blocks of shape (4, rows, n) and (rows, n).
+
+    Values come from a few levels, so ties, flat rows and edge maxima are
+    common, and from a continuous range.  Rows are flagged nowhere, at
+    random points or everywhere.
+    """
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
+    level = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    element = st.one_of(level, st.floats(0.0, 10.0))
+    values = draw(hnp.arrays(np.float64, (4, rows, n), elements=element))
+    flag = draw(st.sampled_from([st.just(False), st.booleans(), st.just(True)]))
+    flagged = draw(hnp.arrays(bool, (rows, n), elements=flag))
+    if draw(st.booleans()):  # some rows flagged everywhere, some nowhere
+        flagged[: rows // 2] = True
+        flagged[rows // 2 :] = False
+    return values, flagged
+
+
+class TestRowPeaks:
+    @settings(deadline=None, max_examples=300)
+    @given(peak_blocks())
+    def test_array_pass_matches_per_row_refinement(self, block):
+        values, flagged = block
+        got = _row_peaks(values.copy(), flagged)
+        want = reference_row_peaks(values, flagged)
+        assert got.shape == want.shape == (4, values.shape[1])
+        assert got.tobytes() == want.tobytes()
+
+    def test_edges_ties_and_flat_rows(self):
+        values = np.array(
+            [
+                [0.0, 1.0, 2.0, 3.0],  # maximum at the last point
+                [3.0, 2.0, 1.0, 0.0],  # maximum at the first point
+                [1.0, 3.0, 3.0, 0.0],  # tie: the first maximum wins, 3.375 from the second
+                [2.0, 2.0, 2.0, 2.0],  # flat
+                [1.0, 2.0, 4.0, 9.0],  # convex
+                [0.0, 3.0, 2.5, 0.0],  # a refined interior peak
+                [1.0 - 2.0**-53, 1.0, 1.0, 0.0],  # the curvature rounds to zero
+                [0.0, 1.6706906974740514, 1.6706906974740514, 0.0],  # d**2 != d * d
+            ]
+        )
+        block = np.stack([values, values[::-1], values, values])
+        flagged = np.zeros(values.shape, dtype=bool)
+        got = _row_peaks(block.copy(), flagged)
+        assert got.tobytes() == reference_row_peaks(block, flagged).tobytes()
+        assert got[0, :5].tolist() == [3.0, 3.0, 3.25, 2.0, 9.0]
+        assert got[0, 5] > 3.0
+        assert got[0, 6:].tolist() == [1.0, 1.879527034658308]
+
+    def test_overflowing_square_raises_as_per_row(self):
+        # Python's float pow raises where the squared difference overflows
+        values = np.zeros((4, 1, 3))
+        values[0, 0] = [0.0, 1e200, 9e199]
+        with pytest.raises(OverflowError):
+            reference_row_peaks(values, np.zeros((1, 3), dtype=bool))
+        with pytest.raises(OverflowError):
+            _row_peaks(values, np.zeros((1, 3), dtype=bool))
+        # a row with a flagged point is refined over its clean points alone
+        values[0, 0] = [1e199, 1e200, 0.0]
+        flagged = np.array([[False, False, True]])
+        assert _row_peaks(values, flagged)[0].tolist() == [1e200]
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_grid_rejected_without_warnings(self, fig2_scenario, fig4_scenarios):
+        scenario = fig4_scenarios["0.83"]
+        endpoints = ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1.7e308, 1.7e308))
+        for start, stop in endpoints:
+            spec = SweepSpec(axis="two-photon-detuning", start=start, stop=stop, points=3)
+            with pytest.raises(DomainError, match="finite"):
+                spec.grid()
+            with pytest.raises(DomainError, match="finite"):
+                sweep_detuning(scenario, spec)
+        spec = SweepSpec(axis="absorber-depth", start=1.0, stop=math.inf, points=3)
+        with pytest.raises(DomainError, match="finite"):
+            sweep_absorber_depth(fig2_scenario, spec)
+        logarithmic = replace(spec, scale="logarithmic")
+        with pytest.raises(DomainError, match="finite"):
+            sweep_absorber_depth(fig2_scenario, logarithmic)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_profile_evaluated_without_warnings(self, fig4_scenarios):
+        # the exact profile's denominator overflows at finite detunings this far out
+        base = fig4_scenarios["0.83"]
+        scenario = replace(base, options=replace(base.options, exact_absorber=True))
+        inner = SweepSpec(axis="two-photon-detuning", start=-1e300, stop=1e300, points=3)
+        records = sweep_detuning(scenario, inner)
+        assert [r.absorber_profile for r in records][::2] == [0.0, 0.0]
+        spec = SweepSpec(axis="absorber-depth", start=0.0, stop=1.0, points=3)
+        assert len(sweep_absorber_depth(scenario, spec, inner_spec=inner)) == 3
 
 
 class TestAsymmetryMetric:
