@@ -307,6 +307,8 @@ def asymmetry_metric(records: Sequence[SpectrumRecord]) -> float:
     detuning, normalized so a symmetric curve gives 0 and a curve wholly on
     one side gives 1.  The grid must be symmetric about 0.
     """
+    if not records:
+        raise DomainError("asymmetry metric requires at least one grid point")
     deltas = np.array([r.axis_value for r in records])
     tol = 1e-9 * max(1.0, float(np.abs(deltas).max()))
     if not np.all(np.abs(deltas + deltas[::-1]) <= tol):

@@ -21,6 +21,8 @@ from lambda_mixer.propagation import (
     noise_suppression_ratio,
     propagate,
 )
+from lambda_mixer.scan import absorber_loss_profile, default_detuning_spec
+from lambda_mixer.scenario import load_scenario
 from lambda_mixer.susceptibility import chi_abs, normalized_lineshape
 
 RNG_SEED = 20240811
@@ -313,6 +315,21 @@ class TestExpm2Oracle:
             matrices.append((mu + a, b, q * q * (1.0 - t * t) / b, mu - a))
         assert_matches_mpmath(matrices)
 
+    @pytest.mark.parametrize(
+        "name, samples", [("fig2_default", 240), ("fig4_dabs_0.83", 40), ("fig4_dabs_41.6", 40)]
+    )
+    def test_shipped_grids(self, name, samples):
+        # generators of the shipped scans, built as scan._row_groups builds them:
+        # fig2's depth rows x inner detunings, fig4's one row at the effective depth
+        scenario = load_scenario(name)[0]
+        profile, depth = absorber_loss_profile(scenario)
+        depths = scenario.sweep.grid() if scenario.sweep else np.array([depth])
+        deltas = default_detuning_spec(scenario.eit).grid()
+        entries = coupling_entries(scenario.eit, depths[:, None] * profile(deltas), deltas)
+        entries = np.array(np.broadcast_arrays(*entries)).reshape(4, -1)
+        picked = np.random.default_rng(RNG_SEED).choice(entries.shape[1], samples, replace=False)
+        assert_matches_mpmath(entries[:, picked].T.tolist())
+
 
 class TestPropagate:
     def test_zero_generator_is_identity(self):
@@ -354,6 +371,58 @@ class TestPropagate:
         cm = build_coupling_matrix(sec5_eit)
         with pytest.raises(ValueError, match="unknown propagation method"):
             propagate(cm, FieldPair(1.0, 0.0), method="euler")
+
+    @pytest.mark.parametrize("method", [None, 3, b"adaptive-rk"])
+    def test_non_string_method_rejected(self, sec5_eit, method):
+        cm = build_coupling_matrix(sec5_eit)
+        with pytest.raises(ValueError, match="unknown propagation method"):
+            propagate(cm, FieldPair(1.0, 0.0), method=method)
+
+    @pytest.mark.parametrize("method", ["Matrix-Exponential", "ADAPTIVE-RK"])
+    def test_method_name_case_insensitive(self, sec5_eit, method):
+        cm = build_coupling_matrix(sec5_eit, 1.5 + 0.4j, delta=2.3)
+        out, transfer = propagate(cm, FieldPair(1.0, 0.5j), method=method)
+        want_out, want_transfer = propagate(cm, FieldPair(1.0, 0.5j), method=method.lower())
+        assert out == want_out
+        assert np.array_equal(transfer.t, want_transfer.t)
+
+    def test_adaptive_rk_integrates_once(self, sec5_eit, monkeypatch):
+        # the whole transfer matrix in one solve_ivp pass, not one per column
+        import scipy.integrate
+
+        calls = []
+        solve_ivp = scipy.integrate.solve_ivp
+        monkeypatch.setattr(
+            scipy.integrate, "solve_ivp", lambda *a, **k: calls.append(a) or solve_ivp(*a, **k)
+        )
+        cm = build_coupling_matrix(sec5_eit, 1.5 + 0.4j, delta=2.3)
+        propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
+        assert len(calls) == 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.floats(100.0, 1000.0),
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 200.0),
+        st.floats(0.0, 50.0),
+        st.floats(0.05, 10.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-1000.0, 1000.0),
+        st.builds(complex, st.floats(0.0, 50.0), st.floats(-25.0, 25.0)),
+        st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+    )
+    def test_adaptive_rk_agrees_with_expm2(self, g, gs, w, depth, strength, sign, delta, loss, a_s, a_i):
+        # lossy generators; inputs with |a_s| + |a_i| <= 1 bound the output error by that of T
+        dl = sign * max(depth * g / strength, 1.0)
+        eit = EitMedium(gamma_ge=g, gamma_gs=gs, delta_control=dl, omega_c=w, depth=depth)
+        cm = build_coupling_matrix(eit, loss, delta)
+        out_exp, t_exp = propagate(cm, FieldPair(a_s, a_i))
+        out_rk, t_rk = propagate(cm, FieldPair(a_s, a_i), method="adaptive-rk")
+        tol = 1e-8 * max(np.abs(t_exp.t).max(), 1.0)
+        assert np.abs(t_rk.t - t_exp.t).max() <= tol
+        assert abs(out_rk.a_s - out_exp.a_s) <= tol
+        assert abs(out_rk.a_i_dag - out_exp.a_i_dag) <= tol
 
     def test_integration_failure_carries_last_zeta(self, sec5_eit, monkeypatch):
         import scipy.integrate

@@ -460,6 +460,10 @@ class TestAsymmetryMetric:
         probe = np.where(deltas > 0, 1.0, 0.0)
         assert asymmetry_metric(self._records(deltas, probe)) == pytest.approx(1.0)
 
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(DomainError, match="at least one grid point"):
+            asymmetry_metric([])
+
     def test_asymmetric_grid_rejected(self):
         deltas = np.linspace(-4, 5, 40)
         with pytest.raises(DomainError):
