@@ -30,6 +30,7 @@ from . import __version__
 from .design import full_report
 from .errors import (
     DomainError,
+    InfeasibleTargetError,
     IntegrationError,
     SingularityError,
     ValidationError,
@@ -61,12 +62,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep codes to ourselves
         raise _UsageError(f"{self.prog}: {message}")
-
-
-def _fmt(x: float) -> str:
-    # repr() of a Python float: shortest round-trip form, '.' decimal point,
-    # lowercase 'e', locale-independent.
-    return repr(float(x))
 
 
 def _json_safe(x):
@@ -187,7 +182,9 @@ def _cmd_scan(args) -> int:
         spec = sweep if sweep and sweep.axis == DEPTH_AXIS else DEFAULT_DABS_SPEC
         result = scan.sweep_absorber_depth(scenario, spec)
     columns = [column.tolist() for column in attrgetter(*names)(result)]
-    csv_text = "\n".join([header, *(",".join(map(_fmt, row)) for row in zip(*columns))]) + "\n"
+    # repr() of a Python float: shortest round-trip form, '.' decimal point,
+    # lowercase 'e', locale-independent.
+    csv_text = "\n".join([header, *(",".join(map(repr, row)) for row in zip(*columns))]) + "\n"
     if args.out:
         _write_atomic(Path(args.out), csv_text)
     else:
@@ -254,9 +251,9 @@ def _cmd_noise(args) -> int:
         raise DomainError("effective absorber depth is zero; the noise ratio is undefined")
     fwm = n_fwm(scenario.eit)
     ratio = noise_suppression_ratio(scenario.eit, d_abs)
-    print(f"n_fwm = {_fmt(fwm)}")
-    print(f"noise_ratio = {_fmt(ratio)}")
-    print(f"n_abs = {_fmt(ratio * fwm)}")
+    print(f"n_fwm = {fwm!r}")
+    print(f"noise_ratio = {ratio!r}")
+    print(f"n_abs = {ratio * fwm!r}")
     return EXIT_OK
 
 
@@ -276,6 +273,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for violation in exc.violations:
             print(str(violation), file=sys.stderr)
         return EXIT_VALIDATION
+    except InfeasibleTargetError as exc:  # a DomainError, but a design verdict
+        print(str(exc), file=sys.stderr)
+        return EXIT_DESIGN_FAIL
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION

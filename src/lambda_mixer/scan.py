@@ -205,25 +205,15 @@ def sweep_detuning(
     return Sweep(grid, probe, stokes, shape, reference, flagged[0])
 
 
-def _refined_peak(values: np.ndarray) -> float:
-    """Grid maximum with three-point parabolic refinement of the peak value."""
-    i = int(np.argmax(values))
-    if i == 0 or i == len(values) - 1:
-        return float(values[i])
-    y0, y1, y2 = float(values[i - 1]), float(values[i]), float(values[i + 1])
-    curv = y0 - 2.0 * y1 + y2
-    if curv >= 0.0:  # flat or degenerate; keep the grid maximum
-        return y1
-    return y1 - 0.125 * (y2 - y0) ** 2 / curv
-
-
 def _row_peaks(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
     """Peaks of each row of values (4, rows, n), shape (4, rows).
 
-    The probe, Stokes and reference peaks are refined as by _refined_peak,
-    bit for bit; the profile is read at the probe's grid maximum.  Rows with
-    no flagged point go through one array pass.  A row with one is refined
-    over its clean points alone, or over all points if none is clean.
+    The probe, Stokes and reference peaks start from the first grid maximum
+    and are refined by the three-point parabola through it and its
+    neighbours; at an edge of the grid, or where the curvature is not
+    negative, the grid value stands.  The profile is read at the probe's
+    grid maximum.  A row with a flagged point is refined over its clean
+    points alone, or over all points if none is clean.
     """
     kinds, rows, n = values.shape
     dirty = flagged.any(axis=1)
@@ -236,21 +226,15 @@ def _row_peaks(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
         curv = y0 - 2.0 * peaks + y2
         refine = (at > 0) & (at < n - 1) & ~(curv >= 0.0) & ~dirty
         refine[2] = False  # the profile is not refined
-        # squared by Python's float pow, as in _refined_peak: numpy squares by
-        # multiplying, which rounds differently for about 1 value in 1,000,
-        # and gives inf where Python raises OverflowError
+        # squared by Python's float pow, as a scalar refinement squares: numpy
+        # squares by multiplying, which rounds differently for about 1 value
+        # in 1,000, and gives inf where Python raises OverflowError
         square = np.array([d**2 for d in (y2 - y0)[refine].tolist()])
         peaks[refine] -= 0.125 * square / curv[refine]
     peaks[2] = values[2, row, at[0]]
     for r in np.flatnonzero(dirty):
         clean = values[:, r] if flagged[r].all() else values[:, r, ~flagged[r]]
-        probe, stokes, shape, reference = clean
-        peaks[:, r] = (
-            _refined_peak(probe),
-            _refined_peak(stokes),
-            shape[np.argmax(probe)],
-            _refined_peak(reference),
-        )
+        peaks[:, r] = _row_peaks(clean[:, None], np.zeros((1, clean.shape[-1]), bool))[:, 0]
     return peaks
 
 
@@ -305,15 +289,19 @@ def asymmetry_metric(records: Sequence[SpectrumRecord]) -> float:
 
     L1 difference between the probe curve and its mirror image about zero
     detuning, normalized so a symmetric curve gives 0 and a curve wholly on
-    one side gives 1.  The grid must be symmetric about 0.
+    one side gives 1.  The grid must be symmetric about 0.  A Sweep is read
+    by its columns.
     """
     if not records:
         raise DomainError("asymmetry metric requires at least one grid point")
-    deltas = np.array([r.axis_value for r in records])
+    if isinstance(records, Sweep):
+        deltas, p = records.axis_value, records.probe_transmission
+    else:
+        deltas = np.array([r.axis_value for r in records])
+        p = np.array([r.probe_transmission for r in records])
     tol = 1e-9 * max(1.0, float(np.abs(deltas).max()))
     if not np.all(np.abs(deltas + deltas[::-1]) <= tol):
         raise DomainError("asymmetry metric requires a grid symmetric about zero detuning")
-    p = np.array([r.probe_transmission for r in records])
     q = p[::-1]
     mass = float(np.sum(p + q))
     if mass == 0.0:

@@ -40,6 +40,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a span of a few ulps: t would never pass hi
+            break
         t += step
     return out or [lo]
 
@@ -135,7 +137,7 @@ def _document(panels: Sequence[str]) -> str:
     )
 
 
-def render_detuning_scan(sweep: Sweep, title: str = "") -> str:
+def render_detuning_scan(sweep: Sweep) -> str:
     """Probe and Stokes panels versus two-photon detuning, absorber profile dashed."""
     deltas = sweep.axis_value.tolist()
     probe = sweep.probe_transmission.tolist()
@@ -150,7 +152,7 @@ def render_detuning_scan(sweep: Sweep, title: str = "") -> str:
         ],
         "two-photon detuning (MHz)",
         "intensity transmission",
-        (title + " : probe").strip(" :"),
+        "probe",
         0,
     )
     bottom = _panel(
@@ -160,13 +162,13 @@ def render_detuning_scan(sweep: Sweep, title: str = "") -> str:
         ],
         "two-photon detuning (MHz)",
         "intensity (input-signal units)",
-        (title + " : Stokes").strip(" :"),
+        "Stokes",
         PANEL_H,
     )
     return _document([top, bottom])
 
 
-def render_depth_scan(sweep: Sweep, title: str = "") -> str:
+def render_depth_scan(sweep: Sweep) -> str:
     """Peak probe and Stokes outputs versus absorber depth (log axis when spanning decades)."""
     depths = sweep.axis_value.tolist()
     log_x = min(depths) > 0 and max(depths) / min(depths) > 50
@@ -180,7 +182,7 @@ def render_depth_scan(sweep: Sweep, title: str = "") -> str:
         ],
         "effective absorber depth",
         "peak intensity transmission",
-        (title + " : probe").strip(" :"),
+        "probe",
         0,
         log_x=log_x,
     )
@@ -188,7 +190,7 @@ def render_depth_scan(sweep: Sweep, title: str = "") -> str:
         [Series("Stokes peak", depths, stokes, _COLORS[1])],
         "effective absorber depth",
         "peak intensity (input-signal units)",
-        (title + " : Stokes").strip(" :"),
+        "Stokes",
         PANEL_H,
         log_x=log_x,
     )

@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
+import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
 
@@ -38,11 +40,18 @@ def shipped_with(tmp_path, name, old, new):
     return path
 
 
-def run_python(*args):
+def run_python(*args, **kwargs):
     """Run ``python *args`` in a fresh interpreter that imports the lambda_mixer under test."""
     paths = [str(Path(lambda_mixer.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
+def limit_address_space():
+    """Cap the child at 2 GiB, so that a loop that keeps allocating ends in MemoryError."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 def reject_constant(name):
@@ -150,6 +159,26 @@ class TestScanDetuning:
         assert "polyline" in svg
         assert "MHz" in svg
         assert "stroke-dasharray" in svg  # absorber profile dashed
+
+    def test_svg_axis_span_of_a_few_ulps(self, tmp_path):
+        # stop is the float after start, so start + step == start for every tick step
+        sweep = textwrap.dedent(
+            """
+            [sweep]
+            axis = "two-photon-detuning"
+            start = 1e20
+            stop = 1.0000000000000002e20
+            points = 2
+            """
+        )
+        scenario = tmp_path / "ulps.toml"
+        scenario.write_text(resolve_scenario_path("fig4_dabs_0.83").read_text() + sweep)
+        out = tmp_path / "ulps.csv"
+        command = ["scan-detuning", "--scenario", str(scenario), "--out", str(out), "--svg"]
+        result = run_python("-m", "lambda_mixer", *command, preexec_fn=limit_address_space, timeout=120)
+        assert result.returncode == EXIT_OK, result.stderr
+        root = ET.parse(out.with_suffix(".svg")).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_json_requires_out(self, capsys):
         assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--json"]) == EXIT_VALIDATION
@@ -397,6 +426,21 @@ class TestDesign:
         parsed = json.loads(capsys.readouterr().out)
         scenario, _ = load_scenario("sec5_proposed_mix")
         assert parsed == asdict(full_report(scenario))
+
+    def test_unreachable_absorber_target_exits_design_fail(self, tmp_path, capsys):
+        # target 10 x 15 = 150 exceeds the depth_2l = 85 saturation ceiling
+        scenario = shipped_with(
+            tmp_path, "sec5_proposed_mix", "target_depth_ratio = 1.1", "target_depth_ratio = 10.0"
+        )
+        assert main(["design", "--scenario", str(scenario)]) == EXIT_DESIGN_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("target depth 150 is not reachable")
+
+    def test_nothing_to_invert_stays_validation_failure(self, tmp_path, capsys):
+        scenario = shipped_with(tmp_path, "sec5_proposed_mix", "gamma_cb = 0.064", "gamma_cb = 0.0")
+        assert main(["design", "--scenario", str(scenario)]) == EXIT_VALIDATION
+        assert "nothing to invert" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new, key",

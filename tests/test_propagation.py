@@ -462,13 +462,17 @@ class TestPropagate:
             assert abs(out.a_s - expected.a_s) / norm < 1e-6
             assert abs(out.a_i_dag - expected.a_i_dag) / norm < 1e-6
 
-    def test_symplectic_invariant(self):
-        rng = np.random.default_rng(RNG_SEED + 1)
-        for _ in range(200):
-            eit = EitMedium(300.0, 0.0, 300.0 / rng.uniform(0.001, 0.1), 50.0, rng.uniform(0.0, 5.0))
-            t = propagate(lossless_matrix(eit), FieldPair(1.0, 0.0))[1].t
-            assert abs(abs(t[0, 0]) ** 2 - abs(t[0, 1]) ** 2 - 1.0) < 1e-9
-            assert abs(abs(t[1, 1]) ** 2 - abs(t[1, 0]) ** 2 - 1.0) < 1e-9
+    @settings(deadline=None, max_examples=200)
+    @given(
+        ratio=st.floats(0.001, 0.1),  # gamma_ge / delta_control
+        sign=st.sampled_from([1.0, -1.0]),
+        depth=st.floats(0.0, 5.0),
+    )
+    def test_symplectic_invariant(self, ratio, sign, depth):
+        eit = EitMedium(300.0, 0.0, sign * 300.0 / ratio, 50.0, depth)
+        t = propagate(lossless_matrix(eit), FieldPair(1.0, 0.0))[1].t
+        assert abs(abs(t[0, 0]) ** 2 - abs(t[0, 1]) ** 2 - 1.0) < 1e-9
+        assert abs(abs(t[1, 1]) ** 2 - abs(t[1, 0]) ** 2 - 1.0) < 1e-9
 
     def test_dissipative_with_absorber(self):
         rng = np.random.default_rng(RNG_SEED + 2)

@@ -13,7 +13,6 @@ from lambda_mixer.propagation import coupling_entries, expm2
 from lambda_mixer.scan import (
     SpectrumRecord,
     Sweep,
-    _refined_peak,
     _row_peaks,
     absorber_loss_profile,
     asymmetry_metric,
@@ -138,6 +137,18 @@ class TestDetuningSweep:
         assert all(r.flagged for r in records)
 
 
+def _refined_peak(values: np.ndarray) -> float:
+    """Grid maximum with three-point parabolic refinement of the peak value."""
+    i = int(np.argmax(values))
+    if i == 0 or i == len(values) - 1:
+        return float(values[i])
+    y0, y1, y2 = float(values[i - 1]), float(values[i]), float(values[i + 1])
+    curv = y0 - 2.0 * y1 + y2
+    if curv >= 0.0:  # flat or degenerate; keep the grid maximum
+        return y1
+    return y1 - 0.125 * (y2 - y0) ** 2 / curv
+
+
 def scalar_point(eit, lam, depth, seed, delta):
     """One grid point through the scalar kernels, as sweeps evaluated it point by point.
 
@@ -184,7 +195,7 @@ class TestScalarReference:
 
     def test_exact_absorber_depth_scan_with_split_rows(self, fig2_scenario):
         # an inner grid longer than one block: every depth row is split
-        from lambda_mixer.scan import BLOCK, _refined_peak
+        from lambda_mixer.scan import BLOCK
 
         scenario = replace(fig2_scenario, options=replace(fig2_scenario.options, exact_absorber=True))
         inner = default_detuning_spec(scenario.eit, BLOCK + 905)
@@ -322,6 +333,16 @@ class TestSweepContract:
 
     def test_asymmetry_metric_takes_sweep_or_list(self, sweep):
         assert asymmetry_metric(sweep) == asymmetry_metric(list(sweep))
+
+    def test_asymmetry_metric_reads_sweep_columns(self, sweep, monkeypatch):
+        want = asymmetry_metric(list(sweep))
+
+        def no_records(*args):
+            raise AssertionError("the sweep was read record by record")
+
+        monkeypatch.setattr(Sweep, "__iter__", no_records)
+        monkeypatch.setattr(Sweep, "__getitem__", no_records)
+        assert asymmetry_metric(sweep) == want
 
 
 def reference_row_peaks(values, flagged):
