@@ -28,13 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .design import full_report
-from .errors import (
-    DomainError,
-    InfeasibleTargetError,
-    IntegrationError,
-    SingularityError,
-    ValidationError,
-)
+from .errors import DomainError, InfeasibleTargetError, ValidationError
 from .model import DEPTH_AXIS, DETUNING_AXIS, Scenario, SweepSpec
 from .propagation import n_fwm, noise_suppression_ratio
 from .scenario import ScenarioFileError, load_scenario, scenario_to_dict
@@ -133,34 +127,36 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _check_out(args) -> None:
-    if (args.json or args.svg) and not args.out:
-        raise _UsageError("--json/--svg require --out")
-    suffix = Path(args.out or "").suffix
-    if (suffix == ".json" and args.json) or (suffix == ".svg" and args.svg):
-        raise _UsageError(f"--out {args.out} is also the {suffix} sidecar path; pick another")
-
-
-def _reject_scenario_overwrite(args, scenario_path: Path) -> None:
+def _output_paths(args) -> list[Path]:
+    """The CSV path, then each sidecar path the call writes; empty for CSV to stdout."""
     if not args.out:
-        return
+        if args.json or args.svg:
+            raise _UsageError("--json/--svg require --out")
+        return []
     out = Path(args.out)
-    sidecars = ((".json", args.json), (".svg", args.svg))
-    for path in [out] + [out.with_suffix(suffix) for suffix, on in sidecars if on]:
-        if path.resolve() == scenario_path.resolve():
-            raise _UsageError(f"{path} is the scenario file being read; pick another --out")
+    sidecars = [out.with_suffix(s) for s, on in ((".json", args.json), (".svg", args.svg)) if on]
+    if out in sidecars:
+        raise _UsageError(f"--out {args.out} is also the {out.suffix} sidecar path; pick another")
+    return [out, *sidecars]
 
 
-# command -> (CSV header, Sweep columns per CSV row, svgplot renderer)
+# command -> (CSV header, Sweep columns per CSV row, scan sweep function, the
+# scenario sweep axis it takes, its grid when the scenario has none, svgplot renderer)
 _SCANS = {
     "scan-detuning": (
         DETUNING_CSV_HEADER,
         ("axis_value", "probe_transmission", "stokes_output", "absorber_profile", "eit_reference"),
+        "sweep_detuning",
+        DETUNING_AXIS,
+        None,
         "render_detuning_scan",
     ),
     "scan-dabs": (
         DABS_CSV_HEADER,
         ("axis_value", "probe_transmission", "stokes_output", "eit_reference"),
+        "sweep_absorber_depth",
+        DEPTH_AXIS,
+        DEFAULT_DABS_SPEC,
         "render_depth_scan",
     ),
 }
@@ -170,32 +166,30 @@ def _cmd_scan(args) -> int:
     # imported here: the sweep engine loads numpy, which design and noise never need
     from . import scan, svgplot
 
-    _check_out(args)
-    scenario, path = load_scenario(args.scenario)
-    _reject_scenario_overwrite(args, path)
-    header, names, renderer = _SCANS[args.command]
+    paths = _output_paths(args)
+    scenario, scenario_path = load_scenario(args.scenario)
+    for path in paths:
+        if path.resolve() == scenario_path.resolve():
+            raise _UsageError(f"{path} is the scenario file being read; pick another --out")
+    header, names, sweeper, axis, default_spec, renderer = _SCANS[args.command]
     sweep = scenario.sweep
-    if args.command == "scan-detuning":
-        spec = sweep if sweep and sweep.axis == DETUNING_AXIS else None
-        result = scan.sweep_detuning(scenario, spec)
-    else:
-        spec = sweep if sweep and sweep.axis == DEPTH_AXIS else DEFAULT_DABS_SPEC
-        result = scan.sweep_absorber_depth(scenario, spec)
+    spec = sweep if sweep and sweep.axis == axis else default_spec
+    # looked up per call, so a rebinding of the scan or svgplot function is honoured
+    result = getattr(scan, sweeper)(scenario, spec)
     columns = [column.tolist() for column in attrgetter(*names)(result)]
     # repr() of a Python float: shortest round-trip form, '.' decimal point,
     # lowercase 'e', locale-independent.
     csv_text = "\n".join([header, *(",".join(map(repr, row)) for row in zip(*columns))]) + "\n"
-    if args.out:
-        _write_atomic(Path(args.out), csv_text)
+    if paths:
+        _write_atomic(paths[0], csv_text)
     else:
         sys.stdout.write(csv_text)
-    if args.json:
-        record = _run_record(args.command, scenario, result)
-        _write_atomic(Path(args.out).with_suffix(".json"), _json_text(record) + "\n")
-    if args.svg:
-        # looked up per call, so a rebinding of the svgplot function is honoured
-        render = getattr(svgplot, renderer)
-        _write_atomic(Path(args.out).with_suffix(".svg"), render(result))
+    for path in paths[1:]:
+        if path.suffix == ".json":
+            text = _json_text(_run_record(args.command, scenario, result)) + "\n"
+        else:
+            text = getattr(svgplot, renderer)(result)
+        _write_atomic(path, text)
     flagged = result.axis_value[result.flagged].tolist()
     if flagged:
         print(
@@ -251,9 +245,12 @@ def _cmd_noise(args) -> int:
         raise DomainError("effective absorber depth is zero; the noise ratio is undefined")
     fwm = n_fwm(scenario.eit)
     ratio = noise_suppression_ratio(scenario.eit, d_abs)
+    n_abs = ratio * fwm
+    if not math.isfinite(n_abs):
+        raise OverflowError(f"n_abs = noise_ratio * n_fwm = {n_abs!r}")
     print(f"n_fwm = {fwm!r}")
     print(f"noise_ratio = {ratio!r}")
-    print(f"n_abs = {ratio * fwm!r}")
+    print(f"n_abs = {n_abs!r}")
     return EXIT_OK
 
 
@@ -279,9 +276,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except (SingularityError, IntegrationError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NUMERICAL
     except OverflowError as exc:
         print(f"numerical overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -231,14 +231,19 @@ def n_fwm(eit: EitMedium) -> float:
 
 
 def noise_suppression_ratio(eit: EitMedium, d_abs: float) -> float:
-    """Ratio of noise photons created with the absorber to those without it."""
+    """Ratio of noise photons created with the absorber to those without it.
+
+    Raises OverflowError when the ratio is not finite, as for a d_abs so small
+    that depth / d_abs is infinite.
+    """
     if not d_abs > 0:
         raise DomainError("d_abs must be positive")
     ratio = eit.gamma_ge / eit.delta_control
     frac = eit.depth / d_abs
-    return (frac * ratio) ** 2 * math.exp(
-        -2.0 * eit.depth * ratio * (1.0 - ratio * frac)
-    )
+    noise = (frac * ratio) ** 2 * math.exp(-2.0 * eit.depth * ratio * (1.0 - ratio * frac))
+    if not math.isfinite(noise):
+        raise OverflowError(f"noise ratio is {noise!r} at d_abs = {d_abs!r}")
+    return noise
 
 
 def eit_reference_transmission(eit: EitMedium, delta: float = 0.0) -> float:

@@ -96,9 +96,20 @@ def eit_linewidth(eit: EitMedium) -> float:
 
 
 def default_detuning_spec(eit: EitMedium, points: int = DEFAULT_DETUNING_POINTS) -> SweepSpec:
-    """Linear detuning grid covering the EIT window, FWM sidebands, and absorber."""
+    """Linear detuning grid covering the EIT window, FWM sidebands, and absorber.
+
+    Raises DomainError when the window is too narrow to hold points strictly
+    increasing detunings, as when omega_c**2 underflows.
+    """
     half = DEFAULT_WINDOW_WIDTHS * eit_linewidth(eit)
-    return SweepSpec(axis=DETUNING_AXIS, start=-half, stop=half, points=points)
+    spec = SweepSpec(axis=DETUNING_AXIS, start=-half, stop=half, points=points)
+    grid = spec.grid()
+    if not (grid[1:] > grid[:-1]).all():  # np.unique would cost ~20 ms on its first call
+        raise DomainError(
+            f"the default detuning window +/- {half!r} MHz (omega_c = {eit.omega_c!r}) "
+            f"is too narrow for {points} distinct detunings"
+        )
+    return spec
 
 
 def _no_loss(delta):

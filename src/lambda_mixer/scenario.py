@@ -1,7 +1,8 @@
 """Scenario file ingestion.
 
 Scenario files are a flat, sectioned key-value format (a TOML-compatible
-subset): ``[section]`` headers, one ``key = value`` per line, ``#`` comments.
+subset): ``[section]`` headers, one ``key = value`` per line, and ``#``
+comments, which start anywhere on a line (no allowed string value holds one).
 Values are numbers, ``true``/``false``, or double-quoted strings.  All
 quantities are MHz and dimensionless depths.  Unknown sections or keys are
 rejected, and every problem is reported together with its line number rather
@@ -44,18 +45,6 @@ class ScenarioFileError(LambdaMixerError):
         super().__init__(f"{self.path}: " + "; ".join(self.errors))
 
 
-def _strip_comment(raw: str) -> str:
-    out = []
-    in_string = False
-    for ch in raw:
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
 def _parse_value(text: str, want: type, errors: list[str], lineno: int, key: str):
     if want is bool:
         if text in ("true", "false"):
@@ -87,7 +76,7 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
     current: Optional[str] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         section_match = _SECTION_RE.match(line)

@@ -60,8 +60,8 @@ def _panel(
 ) -> str:
     xs = [x for s in series for x in s.x]
     ys = [y for s in series for y in s.y if math.isfinite(y)]
-    if log_x:
-        xs = [math.log10(x) for x in xs if x > 0]
+    if log_x:  # set only when every x is positive
+        xs = [math.log10(x) for x in xs]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys + [0.0]), max(ys)
     if y_hi <= y_lo:
@@ -108,8 +108,6 @@ def _panel(
         pts = []
         for x, y in zip(s.x, s.y):
             if log_x:
-                if x <= 0:
-                    continue
                 x = math.log10(x)
             if math.isfinite(y):
                 pts.append(f"{px(x):.2f},{py(min(max(y, y_lo), y_hi)):.2f}")

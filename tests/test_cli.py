@@ -93,6 +93,9 @@ apply_light_shift = false
 """
 
 
+NO_ABSORBER = SMALL_SWEEP.split("[absorber]")[0] + "[options]\ndelta_a = 14677.0\n"
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0], np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
@@ -182,6 +185,9 @@ class TestScanDetuning:
 
     def test_json_requires_out(self, capsys):
         assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--json"]) == EXIT_VALIDATION
+        # the flags are checked before the scenario is looked up, so exit 1 wins over exit 3
+        assert main(["scan-detuning", "--scenario", "does_not_exist", "--svg"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["--json/--svg require --out"] * 2
 
     @pytest.mark.parametrize("flag, name", [("--json", "r.json"), ("--svg", "r.svg")])
     def test_out_colliding_with_sidecar_rejected(self, tmp_path, capsys, flag, name):
@@ -290,8 +296,12 @@ class TestScanCommands:
 
     @pytest.mark.parametrize(
         "command, scenario_name, out_name, flags",
-        [("scan-detuning", "s.toml", "s.toml", []), ("scan-dabs", "s.json", "s.csv", ["--json"])],
-        ids=["csv", "json-sidecar"],
+        [
+            ("scan-detuning", "s.toml", "s.toml", []),
+            ("scan-dabs", "s.json", "s.csv", ["--json"]),
+            ("scan-dabs", "s.svg", "s.csv", ["--json", "--svg"]),
+        ],
+        ids=["csv", "json-sidecar", "svg-sidecar"],
     )
     def test_output_overwriting_scenario_rejected(
         self, tmp_path, capsys, command, scenario_name, out_name, flags
@@ -305,6 +315,21 @@ class TestScanCommands:
         assert len(err) == 1 and "scenario file" in err[0]
         assert scenario.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [scenario_name]
+
+    @pytest.mark.parametrize("omega_c", ["1e-200", "1e-160"])
+    @pytest.mark.parametrize(
+        "command, name", [("scan-detuning", "fig4_dabs_4.16"), ("scan-dabs", "fig2_default")]
+    )
+    def test_default_detuning_window_too_narrow(self, tmp_path, capsys, command, name, omega_c):
+        # omega_c**2 underflows to 0 or to a few subnormals: the window holds fewer than 401 values
+        scenario = shipped_with(tmp_path, name, "omega_c = 50.0", f"omega_c = {omega_c}")
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", str(scenario), "--out", str(out), "--json", "--svg"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith("is too narrow for 401 distinct detunings")
+        assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
 
 
 # SHA-256 of the CSV and of the SVG that `COMMAND --scenario NAME --out o.csv --svg`
@@ -442,6 +467,16 @@ class TestDesign:
         assert main(["design", "--scenario", str(scenario)]) == EXIT_VALIDATION
         assert "nothing to invert" in capsys.readouterr().err
 
+    def test_missing_inputs_are_listed(self, tmp_path, capsys):
+        assert main(["design", "--scenario", "fig2_default"]) == EXIT_VALIDATION
+        scenario = tmp_path / "no_absorber.toml"
+        scenario.write_text(NO_ABSORBER)
+        assert main(["design", "--scenario", str(scenario)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "options.delta_a = None: design report requires the Raman control detuning",
+            "absorber = None: design report requires an absorber section",
+        ]
+
     @pytest.mark.parametrize(
         "old, new, key",
         [
@@ -484,6 +519,18 @@ class TestNoise:
         scenario.write_text(text)
         assert main(["noise", "--scenario", str(scenario)]) == EXIT_VALIDATION
         assert "absorber depth" in capsys.readouterr().err
+        scenario.write_text(NO_ABSORBER)
+        assert main(["noise", "--scenario", str(scenario)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "noise command requires an absorber section\n"
+
+    def test_overflowing_n_abs_exits_numerical(self, tmp_path, capsys):
+        # theta = 300: n_fwm ~ 9e259 and the noise ratio ~ 4e130 are finite, their product is not
+        scenario = shipped_with(tmp_path, "sec5_proposed_mix", "depth = 15.0", "depth = 3036.0")
+        scenario.write_text(scenario.read_text().replace("depth_2l = 85.0", "depth_2l = 1053.3"))
+        assert main(["noise", "--scenario", str(scenario)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical overflow: n_abs = noise_ratio * n_fwm = inf\n"
 
 
 class TestInvocation:
@@ -526,6 +573,23 @@ class TestInvocation:
         assert len(result.stderr.splitlines()) == 1
         assert "overflow" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, old, new",
+        [
+            (["noise"], "depth_2l = 85.0", "depth_2l = 1e-320"),
+            (["design"], "target_depth_ratio = 1.1", "target_depth_ratio = 1e-323"),
+            (["design", "--json"], "target_depth_ratio = 1.1", "target_depth_ratio = 1e-323"),
+        ],
+        ids=["noise", "design", "design-json"],
+    )
+    def test_infinite_noise_ratio_exits_numerical(self, tmp_path, capsys, command, old, new):
+        # the absorber depth is subnormal, so depth / d_abs is inf and so would be the ratio
+        scenario = shipped_with(tmp_path, "sec5_proposed_mix", old, new)
+        assert main([*command, "--scenario", str(scenario)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical overflow: noise ratio is inf at d_abs = ")
 
     def test_module_entry_point(self, tmp_path):
         result = run_python("-m", "lambda_mixer", "noise", "--scenario", "sec5_proposed_mix")

@@ -149,6 +149,33 @@ class TestParsing:
     def test_inline_comment_with_hash_in_string(self):
         text = GOOD.replace('axis = "two-photon-detuning"', 'axis = "two-photon-detuning"  # axis')
         assert parse_scenario_text(text).sweep.axis == "two-photon-detuning"
+        # a '#' starts a comment even between quotes: no allowed string value holds one
+        text = GOOD.replace('axis = "two-photon-detuning"', 'axis = "two-photon#detuning"')
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(text)
+        assert err.value.errors[0] == "line 17: axis must be a double-quoted string, got '\"two-photon'"
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            (
+                "start = -50.0\nstop = 50.0",
+                "start = 5.0\nstop = 1.0",
+                "line 18: sweep.start = 5.0: must be less than stop",
+            ),
+            (
+                "apply_light_shift = false",
+                "apply_light_shift = yes",
+                "line 24: apply_light_shift must be true or false, got 'yes'",
+            ),
+            ("delta_a = 14677.0", "delta_a = 14677.0\n[eit]", "line 27: duplicate section [eit]"),
+        ],
+        ids=["start-after-stop", "bool", "duplicate-section"],
+    )
+    def test_error_carries_line_number(self, old, new, error):
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(GOOD.replace(old, new))
+        assert err.value.errors == [error]
 
     def test_choice_field_lists_allowed_values(self):
         text = GOOD.replace("points = 401", 'points = 401\nscale = "log"')

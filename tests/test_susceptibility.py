@@ -181,6 +181,10 @@ class TestLineshape:
         )
         assert two_photon_width(lossless) == 0.0
         assert absorber_loss_profile(Scenario(eit=sec5_eit, absorber=lossless))[1] == 0.0
+        # nothing to normalize the exact susceptibility against: no loss at all
+        exact = ScanOptions(exact_absorber=True)
+        profile, depth = absorber_loss_profile(Scenario(eit=sec5_eit, absorber=lossless, options=exact))
+        assert (profile(5.0), depth) == (0j, 0.0)
 
     @settings(max_examples=50)
     @given(
