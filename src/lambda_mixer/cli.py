@@ -134,6 +134,8 @@ def _output_paths(args) -> list[Path]:
             raise _UsageError("--json/--svg require --out")
         return []
     out = Path(args.out)
+    if not out.name:
+        raise _UsageError(f"--out {args.out} names no file")
     sidecars = [out.with_suffix(s) for s, on in ((".json", args.json), (".svg", args.svg)) if on]
     if out in sidecars:
         raise _UsageError(f"--out {args.out} is also the {out.suffix} sidecar path; pick another")

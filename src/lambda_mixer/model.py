@@ -21,7 +21,7 @@ import cmath
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -80,7 +80,9 @@ class EitMedium:
 
     gamma_ge: float = _positive()
     gamma_gs: float = _nonnegative()
-    delta_control: float = _nonzero("must be nonzero (the FWM coupling divides by it)")
+    delta_control: float = _rule(  # its square underflows to 0 below about 1.6e-162
+        lambda x: x * x != 0, "must be nonzero, also when squared (the FWM coupling divides by it)"
+    )
     omega_c: float = _nonnegative()
     depth: float = _nonnegative()
 
@@ -122,25 +124,37 @@ def _is_array(x) -> bool:
     return np is not None and isinstance(x, np.ndarray)
 
 
-def _frozen_2x2(m) -> np.ndarray:
+def _entries_2x2(m) -> tuple[complex, complex, complex, complex]:
+    """Row-major entries of a 2x2 matrix (nested sequences or an array) as Python complexes."""
+    try:
+        (m00, m01), (m10, m11) = m
+        if _is_array(m00 + m01 + m10 + m11):  # an entry is an array
+            raise TypeError  # complex() takes one of size 1 below numpy 2.4
+        return complex(m00), complex(m01), complex(m10), complex(m11)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 2x2 matrix, got {m!r}") from None
+
+
+def _frozen_array(record) -> np.ndarray:
+    """``record.entries`` as a read-only complex 2x2 array."""
     import numpy as np
 
-    arr = np.asarray(m, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    arr = np.array(record.entries, dtype=complex).reshape(2, 2)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CouplingMatrix:
-    """Per-unit-zeta generator of signal/idler propagation at one two-photon detuning."""
+    """Per-unit-zeta signal/idler generator at one detuning; ``m`` is ``entries`` as a 2x2 array."""
 
-    m: np.ndarray
+    entries: tuple[complex, complex, complex, complex]
     delta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", _frozen_2x2(self.m))
+    def __init__(self, m, delta: float):
+        self.__dict__.update(entries=_entries_2x2(m), delta=delta)  # frozen: bypass __setattr__
+
+    m = cached_property(_frozen_array)
 
 
 @dataclass(frozen=True)

@@ -27,33 +27,34 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 from .errors import DomainError, IntegrationError, SingularityError
-from .model import CouplingMatrix, EitMedium, FieldPair, _frozen_2x2, _is_array
-
-if TYPE_CHECKING:
-    import numpy as np
+from .model import CouplingMatrix, EitMedium, FieldPair, _entries_2x2, _frozen_array, _is_array
 
 MATRIX_EXPONENTIAL = "matrix-exponential"
 ADAPTIVE_RK = "adaptive-rk"
 
 _RK_RTOL = 1e-10
 _RK_ATOL = 1e-12
+_RK_LOCK = threading.Lock()
 _SERIES_Q = 1e-3  # |q| at or below which expm2 uses the series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransferMatrix:
-    """Map from input to output field pair over zeta in [0, 1]."""
+    """Map from input to output fields over zeta in [0, 1]; ``t`` is ``entries`` as a 2x2 array."""
 
-    t: np.ndarray
+    entries: tuple[complex, complex, complex, complex]
     delta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", _frozen_2x2(self.t))
+    def __init__(self, t, delta: float):
+        self.__dict__.update(entries=_entries_2x2(t), delta=delta)  # frozen: bypass __setattr__
+
+    t = cached_property(_frozen_array)
 
 
 def coupling_entries(
@@ -138,28 +139,26 @@ def expm2(
     return c + s * a, s * m01, s * m10, c - s * a
 
 
-def _transfer_adaptive(m: np.ndarray) -> np.ndarray:
+def _transfer_adaptive(entries) -> list[complex]:
     """Row-major entries of exp(M), from one DOP853 pass over dT/dzeta = M T, T(0) = I."""
     import numpy as np
     # scipy.integrate is slower to import than the whole package, and only this needs it
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
 
-    k = np.kron(m, np.eye(2))  # M T, acting on the row-major entries of T
-    with np.errstate(all="ignore"):  # a failed integration reports itself in sol.success
-        sol = solve_ivp(
-            lambda _, y: k @ y,
-            (0.0, 1.0),
-            np.eye(2, dtype=complex).ravel(),
-            method="DOP853",
-            rtol=_RK_RTOL,
-            atol=_RK_ATOL,
-        )
-    if not sol.success:
-        raise IntegrationError(
-            f"adaptive integration failed: {sol.message}",
-            last_zeta=float(sol.t[-1]) if sol.t.size else 0.0,
-        )
-    return sol.y[:, -1]
+    k = np.kron(np.reshape(entries, (2, 2)), np.eye(2))  # M T, on the row-major entries of T
+    a = np.block([[k.real, -k.imag], [k.imag, k.real]])  # the same on (Re T, Im T): ode is real
+    a[np.abs(a) < 1e-100] = 0.0  # all rates near 1e-150 stall DOP853; these move T < 1e-100
+    r = ode(lambda _, y: a @ y).set_integrator("dop853", rtol=_RK_RTOL, atol=_RK_ATOL, nsteps=10**6)
+    r.set_initial_value([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    r._integrator.iwork[3] = -1  # NSTIFF < 0: no stiffness test, which strong idler losses trip
+    # a failed pass warns; catch_warnings swaps process-wide filters, so calls take turns
+    with _RK_LOCK, warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.filterwarnings("ignore", category=UserWarning, module=r"scipy\.integrate")
+        y = r.integrate(1.0)
+    if not r.successful():
+        code = r.get_return_code()  # -3: the step size underflowed
+        raise IntegrationError(f"adaptive integration failed (DOP853 code {code})", last_zeta=r.t)
+    return (y[:4] + 1j * y[4:]).tolist()
 
 
 def propagate(
@@ -175,9 +174,9 @@ def propagate(
     """
     name = method.lower() if isinstance(method, str) else None
     if name == MATRIX_EXPONENTIAL:
-        t00, t01, t10, t11 = expm2(*matrix.m.ravel().tolist())
+        t00, t01, t10, t11 = expm2(*matrix.entries)
     elif name == ADAPTIVE_RK:
-        t00, t01, t10, t11 = _transfer_adaptive(matrix.m).tolist()
+        t00, t01, t10, t11 = _transfer_adaptive(matrix.entries)
     else:
         raise ValueError(f"unknown propagation method {method!r}")
     out = FieldPair(

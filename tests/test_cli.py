@@ -189,6 +189,15 @@ class TestScanDetuning:
         assert main(["scan-detuning", "--scenario", "does_not_exist", "--svg"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == ["--json/--svg require --out"] * 2
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["csv", "json"])
+    def test_out_naming_no_file_rejected(self, tmp_path, monkeypatch, capsys, flags):
+        # rejected before the sweep runs and before the scenario is looked up
+        monkeypatch.chdir(tmp_path)
+        for name in ("fig4_dabs_0.83", "does_not_exist"):
+            assert main(["scan-detuning", "--scenario", name, "--out", ".", *flags]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["--out . names no file"] * 2
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, name", [("--json", "r.json"), ("--svg", "r.svg")])
     def test_out_colliding_with_sidecar_rejected(self, tmp_path, capsys, flag, name):
         out = tmp_path / name
@@ -329,6 +338,23 @@ class TestScanCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].endswith("is too narrow for 401 distinct detunings")
+        assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
+
+
+    @pytest.mark.parametrize("value", ["1e-200", "-1e-200"])
+    @pytest.mark.parametrize(
+        "command, name", [("scan-detuning", "fig4_dabs_4.16"), ("scan-dabs", "fig2_default")]
+    )
+    def test_control_detuning_squaring_to_zero_rejected(self, tmp_path, capsys, command, name, value):
+        # the idler diagonal divides by delta_control**2, which underflows to 0 here
+        line = f"delta_control = {value}"
+        scenario = shipped_with(tmp_path, name, "delta_control = 3036.0", line)
+        lineno = scenario.read_text().splitlines().index(line) + 1
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", str(scenario), "--out", str(out), "--json", "--svg"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line {lineno}: eit.delta_control = {float(value)!r}: must be nonzero" in err
         assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
 
 
@@ -607,7 +633,7 @@ class TestInvocation:
         assert result.stdout.strip() == "[]"
 
     def test_cold_path_leaves_numpy_unloaded(self):
-        # import, validation, design and noise are closed-form; only the scans need numpy
+        # import, validation, design, noise and propagate are closed-form; only the scans need numpy
         code = textwrap.dedent(
             """
             import contextlib, io, sys
@@ -622,6 +648,10 @@ class TestInvocation:
                     with contextlib.redirect_stdout(io.StringIO()):
                         codes.append(cli.main([*command, "--scenario", name]))
                     loaded += [f"{command} {name}"] if "numpy" in sys.modules else []
+            from lambda_mixer import EitMedium, FieldPair, build_coupling_matrix, propagate
+            eit = EitMedium(300.0, 0.064, 3036.0, 50.0, 15.0)
+            propagate(build_coupling_matrix(eit, 16.5 + 0.3j, 2.3), FieldPair(1.0, 0.5j))
+            loaded += ["propagate"] if "numpy" in sys.modules else []
             print(codes, loaded)
             namespace = {}
             exec("from lambda_mixer import *", namespace)

@@ -164,3 +164,43 @@ class TestCouplingMatrixType:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             CouplingMatrix(m=np.zeros((3, 3)), delta=0.0)
+
+    def test_entries_are_python_complex_and_array_is_built_once(self):
+        cm = CouplingMatrix(m=[[1, 2j], [np.float64(-2.5), 3.5 - 1j]], delta=0.5)
+        assert cm.entries == (1 + 0j, 2j, -2.5 + 0j, 3.5 - 1j)
+        assert all(type(z) is complex for z in cm.entries)
+        assert cm.m is cm.m and not cm.m.flags.writeable
+        assert np.array_equal(cm.m, [[1, 2j], [-2.5, 3.5 - 1j]])
+        twin = CouplingMatrix(m=np.array(cm.m), delta=0.5)
+        assert twin == cm and hash(twin) == hash(cm)
+
+    @pytest.mark.parametrize(
+        "m", [np.zeros((2, 2, 1)), np.zeros(4), [[1, 2, 3], [4, 5, 6]], [[1, 2]], 1.0],
+        ids=["2x2x1", "flat", "2x3", "1x2", "scalar"],
+    )
+    def test_non_2x2_rejected(self, m):
+        from lambda_mixer.propagation import TransferMatrix
+
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            CouplingMatrix(m=m, delta=0.0)
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            TransferMatrix(t=m, delta=0.0)
+
+    @pytest.mark.parametrize(
+        "m", [np.zeros((2, 2, 1)), [[np.zeros(1), 0], [0, 0]]], ids=["2x2x1", "array-entry"]
+    )
+    def test_size_1_arrays_rejected_where_complex_takes_them(self, m, monkeypatch, sec5_eit):
+        # numpy below 2.4 lets complex() read a size-1 array (with a DeprecationWarning from 1.25)
+        import builtins
+
+        import lambda_mixer.model as model
+        from lambda_mixer.propagation import TransferMatrix, build_coupling_matrix
+
+        lenient = lambda x: builtins.complex(np.asarray(x).item())  # noqa: E731
+        monkeypatch.setattr(model, "complex", lenient, raising=False)
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            CouplingMatrix(m=m, delta=0.0)
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            TransferMatrix(t=m, delta=0.0)
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            build_coupling_matrix(sec5_eit, 0j, np.array([0.5]))

@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -387,17 +389,42 @@ class TestPropagate:
         assert np.array_equal(transfer.t, want_transfer.t)
 
     def test_adaptive_rk_integrates_once(self, sec5_eit, monkeypatch):
-        # the whole transfer matrix in one solve_ivp pass, not one per column
+        # the whole transfer matrix, as Re T and Im T, in one compiled DOP853 pass
         import scipy.integrate
 
-        calls = []
-        solve_ivp = scipy.integrate.solve_ivp
+        states = []
+        integrate = scipy.integrate.ode.integrate
         monkeypatch.setattr(
-            scipy.integrate, "solve_ivp", lambda *a, **k: calls.append(a) or solve_ivp(*a, **k)
+            scipy.integrate.ode,
+            "integrate",
+            lambda self, *a, **k: states.append(self.y.size) or integrate(self, *a, **k),
         )
         cm = build_coupling_matrix(sec5_eit, 1.5 + 0.4j, delta=2.3)
         propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
-        assert len(calls) == 1
+        assert states == [8]
+
+    def test_adaptive_rk_threads_match_serial_calls(self, sec5_eit):
+        # concurrent calls give the serial entries, and leave the warning
+        # filters, which each call swaps while it runs, as they were
+        matrices = [
+            build_coupling_matrix(replace(sec5_eit, depth=d), complex(3.0 * d, d), 0.7 * d)
+            for d in range(1, 7)
+        ]
+
+        def transfer(cm):
+            return propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")[1].entries
+
+        serial = [transfer(cm) for cm in matrices]
+        filters = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(transfer, matrices * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 4
+        assert warnings.filters == filters
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -413,8 +440,10 @@ class TestPropagate:
         st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
     )
     def test_adaptive_rk_agrees_with_expm2(self, g, gs, w, depth, strength, sign, delta, loss, a_s, a_i):
-        # lossy generators; inputs with |a_s| + |a_i| <= 1 bound the output error by that of T
-        dl = sign * max(depth * g / strength, 1.0)
+        # lossy generators; inputs with |a_s| + |a_i| <= 1 bound the output error by that of T.
+        # The FWM coupling depth * g / |dl| and the idler gain depth * g**2 / dl**2 are at most
+        # strength, so T stays far inside the double range
+        dl = sign * max(depth * g / strength, g * math.sqrt(depth / strength), 1.0)
         eit = EitMedium(gamma_ge=g, gamma_gs=gs, delta_control=dl, omega_c=w, depth=depth)
         cm = build_coupling_matrix(eit, loss, delta)
         out_exp, t_exp = propagate(cm, FieldPair(a_s, a_i))
@@ -424,19 +453,33 @@ class TestPropagate:
         assert abs(out_rk.a_s - out_exp.a_s) <= tol
         assert abs(out_rk.a_i_dag - out_exp.a_i_dag) <= tol
 
-    def test_integration_failure_carries_last_zeta(self, sec5_eit, monkeypatch):
-        import scipy.integrate
-
-        class FailedSolution:
-            success = False
-            message = "step size underflow"
-            t = np.array([0.0, 0.37])
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: FailedSolution())
-        cm = build_coupling_matrix(sec5_eit)
+    def test_integration_failure_carries_last_zeta(self):
+        # idler gain 28,125: T leaves the double range near zeta = 0.0247
+        cm = build_coupling_matrix(EitMedium(300.0, 0.0, 8.0, 50.0, 20.0), 0j, 0.0)
         with pytest.raises(IntegrationError) as err:
             propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
-        assert err.value.last_zeta == pytest.approx(0.37)
+        assert 0.0 < err.value.last_zeta < 1.0
+
+    def test_adaptive_rk_with_every_rate_near_1e_150(self):
+        # DOP853's step control stalls at zeta = 0 (code -3) when every rate of the
+        # system is between ~1e-155 and ~1e-149; such rates leave T = I in doubles
+        cm = build_coupling_matrix(EitMedium(100.0, 0.0, -1.0, 1.0, 0.0), 8.7e-150 + 0j, 0.0)
+        transfer = propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")[1]
+        assert transfer.entries == propagate(cm, FieldPair(1.0, 0.0))[1].entries == (1, 0, 0, 1)
+
+    @pytest.mark.parametrize("g, overflows", [(214.0, True), (212.0, False)])
+    def test_idler_gain_at_the_double_range(self, g, overflows):
+        # m11 = depth * g**2 = 715.6 and 702.2; exp overflows a double above ~709.8, and
+        # DOP853 gives up on both as its error estimates overflow first
+        eit = EitMedium(gamma_ge=g, gamma_gs=0.0, delta_control=-1.0, omega_c=1.0, depth=0.015625)
+        cm = build_coupling_matrix(eit, 0j, 0.0)
+        if overflows:
+            with pytest.raises(OverflowError):
+                expm2(*cm.entries)
+        else:
+            assert all(cmath.isfinite(t) for t in expm2(*cm.entries))
+        with pytest.raises(IntegrationError):
+            propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
 
     def test_integration_failure_raises_without_warnings(self):
         # strongly amplifying generator: DOP853 overflows before it gives up
@@ -445,6 +488,31 @@ class TestPropagate:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError):
                 propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
+
+    def test_integration_failure_under_raising_float_errors(self):
+        # the overflow that ends the pass is DOP853's to report, whatever np.seterr says
+        cm = build_coupling_matrix(EitMedium(300.0, 0.0, 8.0, 50.0, 20.0), 0j, 0.0)
+        with np.errstate(all="raise"), pytest.raises(IntegrationError):
+            propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
+
+    def test_adaptive_rk_hides_only_scipy_integrate_warnings(self, sec5_eit, monkeypatch):
+        import scipy.integrate
+
+        integrate = scipy.integrate.ode.integrate
+
+        def integrate_warning(self, *args, **kwargs):
+            warnings.warn("raised during the pass", UserWarning)
+            return integrate(self, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate.ode, "integrate", integrate_warning)
+        with pytest.warns(UserWarning, match="raised during the pass"):
+            propagate(build_coupling_matrix(sec5_eit), FieldPair(1.0, 0.0), method="adaptive-rk")
+
+    def test_adaptive_rk_with_a_strong_idler_loss(self, sec5_eit):
+        # DOP853's stiffness test, which is off, gives up above a real loss of ~6,500 here
+        cm = build_coupling_matrix(sec5_eit, 1e4 + 0j, 2.3)
+        transfer = propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")[1]
+        assert max(abs(a - b) for a, b in zip(transfer.entries, expm2(*cm.entries))) <= 1e-8
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(RNG_SEED)
