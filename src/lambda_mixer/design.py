@@ -14,7 +14,7 @@ factor of ten, and the spurious-scattering bound is strict x < 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError, InfeasibleTargetError, ValidationError, Violation
 from .model import EitMedium, RamanAbsorber, Scenario, validate
@@ -96,12 +96,9 @@ def bandwidth_check(absorber: RamanAbsorber, eit: EitMedium) -> tuple[float, flo
     |omega_c|^2 / (gamma_ge sqrt(D)) * sqrt(2 / (1 + D/12)).
     """
     lhs = two_photon_width(absorber)
-    if eit.depth > 0:
-        rhs = (
-            eit.omega_c**2
-            / (eit.gamma_ge * math.sqrt(eit.depth))
-            * math.sqrt(2.0 / (1.0 + eit.depth / 12.0))
-        )
+    den = eit.gamma_ge * math.sqrt(eit.depth)  # 0 at depth 0, and where the product underflows
+    if den > 0:
+        rhs = eit.omega_c**2 / den * math.sqrt(2.0 / (1.0 + eit.depth / 12.0))
     else:
         rhs = 0.0 if eit.omega_c == 0 else math.inf
     return lhs, rhs, lhs > rhs
@@ -163,7 +160,7 @@ def full_report(scenario: Scenario) -> DesignReport:
     x = raman_scatter_strength(eit, absorber, scenario.options.delta_a)
     raman_ok = x < 1.0
 
-    return DesignReport(
+    report = DesignReport(
         rabi_lower=rabi_lower,
         rabi_upper=rabi_upper,
         rabi_ok=rabi_ok,
@@ -178,3 +175,8 @@ def full_report(scenario: Scenario) -> DesignReport:
         raman_ok=raman_ok,
         overall=rabi_ok and bandwidth_ok and raman_ok,
     )
+    if report.overall:  # an infinite figure is a limit, as raman_x at omega_c = 0, only in a FAIL
+        for name, value in asdict(report).items():
+            if not math.isfinite(value):
+                raise OverflowError(f"{name} is {value!r} in a passing design report")
+    return report

@@ -173,6 +173,7 @@ class SweepSpec:
     scale: Literal["linear", "logarithmic"] = "linear"
 
     def grid(self) -> np.ndarray:
+        """The points, strictly increasing; DomainError if the span cannot hold them."""
         import numpy as np
 
         if not math.isfinite(self.stop - self.start):  # also an inf or nan endpoint
@@ -180,9 +181,15 @@ class SweepSpec:
                 "sweep start, stop and their difference must be finite, "
                 f"got {self.start!r} .. {self.stop!r}"
             )
-        if self.scale == "logarithmic":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        space = np.geomspace if self.scale == "logarithmic" else np.linspace
+        with np.errstate(over="ignore"):  # geomspace overflows at a stop near the float maximum,
+            grid = space(self.start, self.stop, self.points)  # then puts stop itself there
+        if not (grid[1:] > grid[:-1]).all():  # np.unique would cost ~20 ms on its first call
+            raise DomainError(
+                f"sweep {self.start!r} .. {self.stop!r} is too narrow for "
+                f"{self.points} distinct {'detunings' if self.axis == DETUNING_AXIS else 'depths'}"
+            )
+        return grid
 
 
 @dataclass(frozen=True)

@@ -92,23 +92,25 @@ def eit_linewidth(eit: EitMedium) -> float:
     """Power-broadened EIT window scale |omega_c|^2 / (gamma_ge * sqrt(depth))."""
     if eit.omega_c == 0.0 or eit.depth == 0.0:
         return eit.gamma_ge
-    return eit.omega_c**2 / (eit.gamma_ge * math.sqrt(eit.depth))
+    den = eit.gamma_ge * math.sqrt(eit.depth)
+    return eit.omega_c**2 / den if den else math.inf  # den underflows only where the width overflows
 
 
 def default_detuning_spec(eit: EitMedium, points: int = DEFAULT_DETUNING_POINTS) -> SweepSpec:
     """Linear detuning grid covering the EIT window, FWM sidebands, and absorber.
 
-    Raises DomainError when the window is too narrow to hold points strictly
-    increasing detunings, as when omega_c**2 underflows.
+    Raises DomainError, naming the window, when its grid fails
+    SweepSpec.grid: too narrow to hold points distinct detunings, as when
+    omega_c**2 underflows, or not finite.
     """
     half = DEFAULT_WINDOW_WIDTHS * eit_linewidth(eit)
     spec = SweepSpec(axis=DETUNING_AXIS, start=-half, stop=half, points=points)
-    grid = spec.grid()
-    if not (grid[1:] > grid[:-1]).all():  # np.unique would cost ~20 ms on its first call
+    try:
+        spec.grid()
+    except DomainError as exc:
         raise DomainError(
-            f"the default detuning window +/- {half!r} MHz (omega_c = {eit.omega_c!r}) "
-            f"is too narrow for {points} distinct detunings"
-        )
+            f"the default detuning window +/- {half!r} MHz (omega_c = {eit.omega_c!r}): {exc}"
+        ) from None
     return spec
 
 

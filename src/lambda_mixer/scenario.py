@@ -162,7 +162,11 @@ def resolve_scenario_path(name: str) -> Path:
 
 def load_scenario(name: str) -> tuple[Scenario, Path]:
     path = resolve_scenario_path(name)
-    return parse_scenario_text(path.read_text(encoding="utf-8"), str(path)), path
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, which would escape the CLI as a traceback
+        raise ScenarioFileError(path, [f"not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
+    return parse_scenario_text(text, str(path)), path
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -61,6 +61,8 @@ def effective_depth(absorber: RamanAbsorber) -> float:
     r = saturation_ratio(absorber)
     if r == 0.0:
         return 0.0
+    if absorber.gamma_cb == 0.0:  # u / u, also where gamma_ab * r underflows to 0
+        return absorber.depth_2l
     u = absorber.gamma_ab * r
     return u / (absorber.gamma_cb + u) * absorber.depth_2l
 

@@ -146,6 +146,16 @@ class TestScanDetuning:
         err = capsys.readouterr().err
         assert "gamma_ge" in err and "omega_c" in err
 
+    def test_non_utf8_scenario_rejected(self, tmp_path, capsys):
+        # a UTF-16 file: its byte-order mark is not UTF-8
+        scenario = tmp_path / "utf16.toml"
+        scenario.write_bytes("[eit]\n".encode("utf-16"))
+        code = main(["scan-detuning", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"invalid scenario {scenario}:", "  not UTF-8 text (invalid start byte at byte 0)"]
+        assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
+
     def test_infinite_stokes_seed_rejected(self, tmp_path, capsys):
         scenario = shipped_with(tmp_path, "fig4_dabs_0.83", "stokes_seed = 1.0", "stokes_seed = inf")
         code = main(["scan-detuning", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")])
@@ -339,6 +349,25 @@ class TestScanCommands:
         assert len(err) == 1
         assert err[0].endswith("is too narrow for 401 distinct detunings")
         assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
+
+    def test_sweep_too_narrow_for_its_points(self, tmp_path, capsys):
+        sweep = '[sweep]\naxis = "two-photon-detuning"\nstart = 0.0\nstop = 5e-324\npoints = 3\n'
+        scenario = tmp_path / "narrow.toml"
+        scenario.write_text(resolve_scenario_path("fig4_dabs_4.16").read_text() + sweep)
+        argv = ["scan-detuning", "--scenario", str(scenario), "--out", str(tmp_path / "o.csv"), "--svg"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "sweep 0.0 .. 5e-324 is too narrow for 3 distinct detunings\n"
+        assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
+
+    def test_svg_of_a_subnormal_depth_axis(self, tmp_path):
+        # no tick step of 1, 2, 2.5, 5 or 10 times a power of ten covers this span
+        sweep = '[sweep]\naxis = "absorber-depth"\nstart = 5e-321\nstop = 1e-320\npoints = 3\n'
+        scenario = tmp_path / "subnormal.toml"
+        scenario.write_text(resolve_scenario_path("fig4_dabs_4.16").read_text() + sweep)
+        out = tmp_path / "o.csv"
+        assert main(["scan-dabs", "--scenario", str(scenario), "--out", str(out), "--svg"]) == EXIT_OK
+        root = ET.parse(out.with_suffix(".svg")).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
 
     @pytest.mark.parametrize("value", ["1e-200", "-1e-200"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_mixer.errors import ValidationError
+from lambda_mixer.errors import DomainError, ValidationError
 from lambda_mixer.model import (
     C_LIGHT,
     CouplingMatrix,
@@ -153,6 +153,19 @@ class TestSweepSpec:
         assert np.allclose(lin.grid(), [-1.0, -0.5, 0.0, 0.5, 1.0])
         log = SweepSpec(axis="absorber-depth", start=1.0, stop=100.0, points=3, scale="logarithmic")
         assert np.allclose(log.grid(), [1.0, 10.0, 100.0])
+
+    @pytest.mark.parametrize(
+        "axis, start, stop, scale, values",
+        [
+            ("two-photon-detuning", 0.0, 5e-324, "linear", "detunings"),
+            ("absorber-depth", 5e-324, 1e-323, "logarithmic", "depths"),
+        ],
+    )
+    def test_grid_too_narrow_for_its_points(self, axis, start, stop, scale, values):
+        # 0.0, 0.0, 5e-324 and 5e-324, 5e-324, 1e-323: fewer distinct values than points
+        spec = SweepSpec(axis=axis, start=start, stop=stop, points=3, scale=scale)
+        with pytest.raises(DomainError, match=f"is too narrow for 3 distinct {values}$"):
+            spec.grid()
 
 
 class TestCouplingMatrixType:
