@@ -110,33 +110,65 @@ def expm2(
     exp(M) = e^mu (cosh(q) I + sinh(q)/q A).  For |q| away from zero the
     cosh/sinh pair is assembled from e^(mu+q) and e^(mu-q), which stays
     finite for strongly dissipative matrices; near q = 0 a series in q^2
-    avoids the 0/0.  Numpy array entries broadcast; scalars go through cmath,
-    several times cheaper per call, and raise OverflowError where arrays
-    produce non-finite values.
+    avoids the 0/0.  Numpy array entries broadcast, through _closed_form on
+    a fresh workspace; scalars go through cmath, several times cheaper per
+    call, and raise OverflowError where arrays produce non-finite values.
     """
-    mu = 0.5 * (m00 + m11)
-    a = 0.5 * (m00 - m11)  # A = [[a, m01], [m10, -a]]
-    q2 = a * a + m01 * m10
-    if _is_array(q2):
+    entries = (m00, m01, m10, m11)
+    if any(_is_array(m) and m.ndim for m in entries):  # 0-d arrays compute as scalars
         import numpy as np
 
-        mu, q2 = np.broadcast_arrays(mu, q2)
-        q = np.sqrt(q2)
-        small = np.abs(q) <= _SERIES_Q
-        safe = np.where(small, 1.0, q)  # series values replace these points
-        ep, em = np.exp(mu + safe), np.exp(mu - safe)
-        c, s = 0.5 * (ep + em), 0.5 * (ep - em) / safe
-        if small.any():
-            qs = q[small]
-            c[small], s[small] = _series(np.exp(mu[small]), qs * qs)
+        shape = np.broadcast_shapes(*(np.shape(m) for m in entries))
+        return _closed_form(*entries, _workspace(shape, np.result_type(*entries, 0.5)))
+    mu = 0.5 * (m00 + m11)
+    a = 0.5 * (m00 - m11)  # A = [[a, m01], [m10, -a]]
+    q = cmath.sqrt(a * a + m01 * m10)
+    if abs(q) <= _SERIES_Q:
+        c, s = _series(cmath.exp(mu), q * q)
     else:
-        q = cmath.sqrt(q2)
-        if abs(q) <= _SERIES_Q:
-            c, s = _series(cmath.exp(mu), q * q)
-        else:
-            ep, em = cmath.exp(mu + q), cmath.exp(mu - q)
-            c, s = 0.5 * (ep + em), 0.5 * (ep - em) / q
+        ep, em = cmath.exp(mu + q), cmath.exp(mu - q)
+        c, s = 0.5 * (ep + em), 0.5 * (ep - em) / q
     return c + s * a, s * m01, s * m10, c - s * a
+
+
+def _workspace(shape, dtype=complex) -> list:
+    """Buffers for one _closed_form pass over shape: five of dtype, then |q| and the series mask."""
+    import numpy as np
+
+    return [np.empty(shape, dtype) for _ in range(5)] + [np.empty(shape), np.empty(shape, bool)]
+
+
+def _closed_form(m00, m01, m10, m11, ws) -> tuple:
+    """The array branch of expm2, evaluated into the workspace ws.
+
+    ws holds _workspace buffers of the entries' broadcast shape; the entries
+    are only read.  Every step is a ufunc writing into ws, with the operands
+    and the order of the scalar branch, so a reused workspace gives the bytes
+    of a fresh one.  Returns t00, t01, t10, t11 as views of ws, which the
+    next pass over ws overwrites.
+    """
+    import numpy as np
+
+    mu, a, u, v, w, abs_q, small = ws
+    np.multiply(0.5, np.add(m00, m11, out=mu), out=mu)
+    np.multiply(0.5, np.subtract(m00, m11, out=a), out=a)  # A = [[a, m01], [m10, -a]]
+    np.add(np.multiply(a, a, out=u), np.multiply(m01, m10, out=v), out=u)
+    q = np.sqrt(u, out=u)
+    np.less_equal(np.abs(q, out=abs_q), _SERIES_Q, out=small)
+    series = small.any()
+    if series:  # the series values replace these points below
+        mu_small, q_small = mu[small], q[small]
+    safe = q
+    np.copyto(safe, 1.0, where=small)
+    ep = np.exp(np.add(mu, safe, out=v), out=v)
+    em = np.exp(np.subtract(mu, safe, out=w), out=w)
+    c = np.multiply(0.5, np.add(ep, em, out=mu), out=mu)
+    s = np.divide(np.multiply(0.5, np.subtract(ep, em, out=v), out=v), safe, out=v)
+    if series:
+        c[small], s[small] = _series(np.exp(mu_small), q_small * q_small)
+    sa = np.multiply(s, a, out=w)
+    t00, t11 = np.add(c, sa, out=u), np.subtract(c, sa, out=a)
+    return t00, np.multiply(s, m01, out=mu), np.multiply(s, m10, out=w), t11
 
 
 def _transfer_adaptive(entries) -> list[complex]:

@@ -1,9 +1,13 @@
 """Sweep engine: transmission spectra and absorber-depth scans.
 
-Grid points are independent.  Sweeps evaluate them through the broadcasting
-propagation kernels, at most BLOCK points per numpy pass, which bounds the
-temporaries whatever the grid size.  A point with a non-finite output (a
-singular denominator or an overflow) is flagged and zeroed.
+Grid points are independent.  Sweeps evaluate them at most BLOCK points per
+numpy pass: coupling_entries for the depth-independent columns, then the
+closed form of propagation.expm2 into one workspace allocated per sweep,
+six complex, one float and one boolean buffer of at most BLOCK points
+(~0.4 MB) whatever the grid size.  Every step is an in-place ufunc with the
+operands and order of evaluating the block out of place, so the columns are
+byte-identical to that.  A point with a non-finite output (a singular
+denominator or an overflow) is flagged and zeroed.
 
 A sweep returns a Sweep: a sequence of SpectrumRecord built on demand from
 six read-only numpy columns, which it also exposes by name and as .columns.
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import DEPTH_AXIS, DETUNING_AXIS, EitMedium, Scenario, SweepSpec
-from .propagation import coupling_entries, expm2
+from .propagation import _closed_form, _workspace, coupling_entries
 from .susceptibility import (
     chi_abs,
     effective_depth,
@@ -93,7 +97,11 @@ def eit_linewidth(eit: EitMedium) -> float:
     if eit.omega_c == 0.0 or eit.depth == 0.0:
         return eit.gamma_ge
     den = eit.gamma_ge * math.sqrt(eit.depth)
-    return eit.omega_c**2 / den if den else math.inf  # den underflows only where the width overflows
+    try:
+        omega2 = eit.omega_c**2
+    except OverflowError:  # |omega_c| above ~1.34e154; an infinite window is rejected by name
+        return math.inf
+    return omega2 / den if den else math.inf  # den underflows only where the width overflows
 
 
 def default_detuning_spec(eit: EitMedium, points: int = DEFAULT_DETUNING_POINTS) -> SweepSpec:
@@ -167,26 +175,40 @@ def _row_groups(eit: EitMedium, profile, deltas, depths, seed: float) -> Iterato
     rows as fit in BLOCK points, or one row split into blocks.  values
     stacks probe, Stokes, |profile|^2 and EIT reference, shape (4, rows,
     len(deltas)); a point where any of them is not finite is flagged and zeroed.
+    Every block is evaluated into one workspace, allocated per call and
+    shaped for the largest block.  The depth-independent columns are
+    computed once per call where a row fits in one block; a split row
+    computes those of each block as it reaches it, keeping them block-sized.
     """
     n = len(deltas)
     step = max(1, BLOCK // max(n, 1))
+
+    def columns(delta) -> tuple:
+        lam = profile(delta)
+        # the lossless generator: m11 - 0j is m11 bit for bit, and -0j - loss is -loss
+        entries = coupling_entries(eit, 0j, delta)
+        return lam, entries, np.abs(lam) ** 2, np.exp(2.0 * entries[0].real)
+
+    with np.errstate(all="ignore"):
+        whole = columns(deltas) if n <= BLOCK else None
+    largest = (min(step, len(depths)), min(n, BLOCK))
+    workspace = [*_workspace(largest), np.empty(largest, complex)]  # the last holds the idler loss
     for r in range(0, len(depths), step):
-        rows = depths[r : r + step]
+        rows = depths[r : r + step, None]
         values = np.empty((4, len(rows), n))
-        for c in range(0, n, BLOCK):
-            delta = deltas[c : c + BLOCK]
-            with np.errstate(all="ignore"):
-                lam = profile(delta)
-                m00, m01, m10, m11 = coupling_entries(eit, rows[:, None] * lam, delta)
-                t00, t01, t10, t11 = expm2(m00, m01, m10, m11)
-                outputs = (
-                    np.abs(t00 + t01 * seed) ** 2,
-                    np.abs(t10 + t11 * seed) ** 2,
-                    np.abs(lam) ** 2,
-                    np.exp(2.0 * m00.real),
-                )
-            for out, value in zip(values[:, :, c : c + BLOCK], outputs):
-                out[...] = value
+        with np.errstate(all="ignore"):
+            for c in range(0, n, BLOCK):
+                lam, (m00, m01, m10, m11), lam2, reference = whole or columns(deltas[c : c + BLOCK])
+                block = values[:, :, c : c + BLOCK]
+                view = block.shape[1:]
+                # a partial block takes leading views; a full one, as in every small sweep, none
+                *ws, loss = workspace if view == largest else [w[: view[0], : view[1]] for w in workspace]
+                np.subtract(m11, np.multiply(rows, lam, out=loss), out=loss)
+                t00, t01, t10, t11 = _closed_form(m00, m01, m10, loss, ws)
+                for t, t_seeded, out in ((t00, t01, block[0]), (t10, t11, block[1])):
+                    np.add(t, np.multiply(t_seeded, seed, out=t_seeded), out=t)
+                    np.square(np.abs(t, out=out), out=out)
+                block[2], block[3] = lam2, reference
         flagged = ~np.isfinite(values).all(axis=0)
         values[:, flagged] = 0.0
         yield values, flagged

@@ -350,6 +350,18 @@ class TestScanCommands:
         assert err[0].endswith("is too narrow for 401 distinct detunings")
         assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
 
+    @pytest.mark.parametrize("command", ["scan-detuning", "scan-dabs"])
+    def test_default_detuning_window_overflowing(self, tmp_path, capsys, command):
+        # omega_c**2 overflows a double: the window is infinite, and the error names it
+        scenario = shipped_with(tmp_path, "fig4_dabs_4.16", "omega_c = 50.0", "omega_c = 1e155")
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", str(scenario), "--out", str(out), "--json", "--svg"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("the default detuning window +/- inf MHz (omega_c = 1e+155): ")
+        assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
+
     def test_sweep_too_narrow_for_its_points(self, tmp_path, capsys):
         sweep = '[sweep]\naxis = "two-photon-detuning"\nstart = 0.0\nstop = 5e-324\npoints = 3\n'
         scenario = tmp_path / "narrow.toml"

@@ -201,6 +201,8 @@ def check_form(form: list[str], scenario: Path) -> None:
     FIG2 + '[sweep]\naxis = "two-photon-detuning"\nstart = 0.01\nstop = 1.7976931348622103e+308\n'
     'points = 60\nscale = "logarithmic"\n'
 )
+# omega_c**2 overflows a double: both scans exited 2 with an OverflowError naming no field
+@example(FIG2.replace("omega_c = 50.0", "omega_c = 1e155"))
 def test_every_command_gives_finite_output_or_a_clean_exit(text):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.toml"

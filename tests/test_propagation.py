@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import sys
 import warnings
@@ -238,8 +239,39 @@ class TestArrayKernels:
         assert_columns_match_scalar(got, coupling_entries, args)
 
 
+def mp_expm(m):
+    """Row-major entries of exp([[m0, m1], [m2, m3]]) at mpmath's working precision.
+
+    The Taylor series of A = M / 2**j, squared j times, with mpmath.expm's j and
+    its 10 + 2j guard bits.  By Cayley-Hamilton, A^2 = t A - d I (trace t,
+    determinant d), so every power of A and every square is carried as
+    x I + y A, at a few mpc products per term where a matrix product costs
+    eight: this oracle shares no step with the cosh/sinh form of expm2.
+    """
+    import mpmath
+
+    a = [mpmath.mpc(v) for v in m]
+    norm = max(abs(a[0]) + abs(a[1]), abs(a[2]) + abs(a[3]))  # the infinity norm
+    j = int(max(1, mpmath.mag(norm))) + int(0.5 * mpmath.mp.prec**0.5)
+    with mpmath.workprec(mpmath.mp.prec + 10 + 2 * j):
+        a, norm_mag = [v / 2**j for v in a], mpmath.mag(norm) - j
+        t, d = a[0] + a[3], a[0] * a[3] - a[1] * a[2]
+        x, y = mpmath.mpc(0), mpmath.mpc(1)  # the term A^k / k! = x I + y A, from k = 1
+        sx, sy = 1 + x, y  # the sum up to it
+        for k in itertools.count(2):
+            x, y = -d * y / k, (x + t * y) / k  # (x I + y A) A / k
+            # the term's norm is below 2**mag(x) + 2**(mag(y) + norm_mag): stop at eps
+            if max(mpmath.mag(x), mpmath.mag(y) + norm_mag) < -mpmath.mp.prec:
+                break
+            sx, sy = sx + x, sy + y
+        for _ in range(j):
+            sx, sy = sx * sx - d * sy * sy, (2 * sx + t * sy) * sy
+        entries = (sx + sy * a[0], sy * a[1], sy * a[2], sx + sy * a[3])
+    return [+v for v in entries]  # rounded to the working precision
+
+
 def assert_matches_mpmath(matrices):
-    """Both expm2 branches against a 40-digit mpmath.expm of each (m00, m01, m10, m11).
+    """Both expm2 branches against a 40-digit mpmath exponential of each (m00, m01, m10, m11).
 
     Error at most 1e-12 of the largest exact entry, and at most 1e-12 relative
     on every entry that is at least 1e-3 of it; smaller entries, down to the
@@ -253,8 +285,7 @@ def assert_matches_mpmath(matrices):
         array = np.array(np.broadcast_arrays(*expm2(*np.array(matrices).T)))
     with mpmath.workdps(40):
         for j, m in enumerate(matrices):
-            exact = mpmath.expm(mpmath.matrix([[m[0], m[1]], [m[2], m[3]]]))
-            want = np.array([complex(exact[i, k]) for i in (0, 1) for k in (0, 1)])
+            want = np.array([complex(x) for x in mp_expm(m)])
             if not np.isfinite(want).all():
                 with pytest.raises(OverflowError):
                     expm2(*m)

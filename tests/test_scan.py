@@ -1,16 +1,19 @@
 import cmath
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lambda_mixer import scan
 from lambda_mixer.errors import DomainError, SingularityError
-from lambda_mixer.model import EitMedium, ScanOptions, Scenario, SweepSpec
-from lambda_mixer.propagation import coupling_entries, expm2
+from lambda_mixer.model import EitMedium, RamanAbsorber, ScanOptions, Scenario, SweepSpec
+from lambda_mixer.propagation import _series, coupling_entries, expm2
 from lambda_mixer.scan import (
+    BLOCK,
     SpectrumRecord,
     Sweep,
     _row_peaks,
@@ -195,8 +198,6 @@ class TestScalarReference:
 
     def test_exact_absorber_depth_scan_with_split_rows(self, fig2_scenario):
         # an inner grid longer than one block: every depth row is split
-        from lambda_mixer.scan import BLOCK
-
         scenario = replace(fig2_scenario, options=replace(fig2_scenario.options, exact_absorber=True))
         inner = default_detuning_spec(scenario.eit, BLOCK + 905)
         spec = SweepSpec(axis="absorber-depth", start=0.5, stop=50.0, points=3, scale="logarithmic")
@@ -425,6 +426,179 @@ class TestRowPeaks:
         values[0, 0] = [1e199, 1e200, 0.0]
         flagged = np.array([[False, False, True]])
         assert _row_peaks(values, flagged)[0].tolist() == [1e200]
+
+
+def reference_expm2(m00, m01, m10, m11):
+    """The array branch of expm2 before the workspace: every step makes a fresh array."""
+    mu = 0.5 * (m00 + m11)
+    a = 0.5 * (m00 - m11)
+    q2 = a * a + m01 * m10
+    mu, q2 = np.broadcast_arrays(mu, q2)
+    q = np.sqrt(q2)
+    small = np.abs(q) <= 1e-3
+    safe = np.where(small, 1.0, q)
+    ep, em = np.exp(mu + safe), np.exp(mu - safe)
+    c, s = 0.5 * (ep + em), 0.5 * (ep - em) / safe
+    if small.any():
+        qs = q[small]
+        c[small], s[small] = _series(np.exp(mu[small]), qs * qs)
+    return c + s * a, s * m01, s * m10, c - s * a
+
+
+def reference_row_groups(eit, profile, deltas, depths, seed):
+    """scan._row_groups before the workspace: every block out of place and from scratch."""
+    n = len(deltas)
+    step = max(1, BLOCK // n)
+    for r in range(0, len(depths), step):
+        rows = depths[r : r + step]
+        values = np.empty((4, len(rows), n))
+        for c in range(0, n, BLOCK):
+            delta = deltas[c : c + BLOCK]
+            with np.errstate(all="ignore"):
+                lam = profile(delta)
+                m00, m01, m10, m11 = coupling_entries(eit, rows[:, None] * lam, delta)
+                t00, t01, t10, t11 = reference_expm2(m00, m01, m10, m11)
+                outputs = (
+                    np.abs(t00 + t01 * seed) ** 2,
+                    np.abs(t10 + t11 * seed) ** 2,
+                    np.abs(lam) ** 2,
+                    np.exp(2.0 * m00.real),
+                )
+            for out, value in zip(values[:, :, c : c + BLOCK], outputs):
+                out[...] = value
+        flagged = ~np.isfinite(values).all(axis=0)
+        values[:, flagged] = 0.0
+        yield values, flagged
+
+
+MEDIA = {
+    "fig2": EitMedium(300.0, 0.033189889272, 3036.0, 50.0, 6.465019137871),
+    "dark": EitMedium(300.0, 0.064, 3036.0, 0.0, 4.0),  # omega_c = 0: no FWM coupling
+    "singular": EitMedium(0.0, 0.0, 3036.0, 50.0, 5.0),  # poles at delta = +-50
+    "overflow": EitMedium(300.0, 0.0, 320.0, 50.0, 900.0),  # exp overflows near resonance
+}
+ABSORBERS = {
+    "none": None,
+    "broad": RamanAbsorber(5000.0, 10000.0, 300.0, 300.0, 0.064, 85.0),
+    "narrow": RamanAbsorber(272.2734021931099, 14700.0, 300.0, 300.0, 2.0, 85.0),
+}
+
+
+def sweep_case(medium, absorber, exact, seed, kind, points, start, stop, depths):
+    """The Sweep of one drawn case: a detuning sweep, or a depth scan over points inner detunings."""
+    options = ScanOptions(stokes_seed=seed, exact_absorber=exact)
+    scenario = Scenario(eit=MEDIA[medium], absorber=ABSORBERS[absorber], options=options)
+    detunings = SweepSpec(axis="two-photon-detuning", start=start, stop=stop, points=points)
+    if kind == "detuning":
+        return sweep_detuning(scenario, detunings)
+    spec = SweepSpec(axis="absorber-depth", start=0.0, stop=float(depths), points=depths)
+    return sweep_absorber_depth(scenario, spec, inner_spec=detunings)
+
+
+@st.composite
+def sweep_cases(draw):
+    kind = draw(st.sampled_from(["detuning", "depth"]))
+    absorbers = ["broad", "narrow"] if kind == "depth" else sorted(ABSORBERS)
+    sizes = [3, 401, BLOCK, BLOCK + 905, 2 * BLOCK + 1] if kind == "detuning" else [11, 401, 1000, BLOCK + 905]
+    return dict(
+        medium=draw(st.sampled_from(sorted(MEDIA))),
+        absorber=draw(st.sampled_from(absorbers)),
+        exact=draw(st.booleans()),
+        seed=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        kind=kind,
+        points=draw(st.sampled_from(sizes)),
+        start=-draw(st.sampled_from([50.0, 400.0, 3e3, 1e9])),
+        stop=draw(st.sampled_from([50.0, 400.0, 1e5, 1e9])),
+        depths=draw(st.integers(2, 23)),  # with 401 or 1000 inner points, groups of 10 or 4 rows
+    )
+
+
+class TestWorkspaceKernel:
+    """Sweeps evaluate every block into one reused workspace, with the bytes of fresh arrays."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(sweep_cases())
+    # a singular first block, then clean ones: the flagged block leaves nothing behind
+    @example(dict(medium="singular", absorber="narrow", exact=False, seed=0.5, kind="detuning",
+                  points=2 * BLOCK + 1, start=-50.0, stop=1e5, depths=2))
+    # an overflowing first block, then clean ones
+    @example(dict(medium="overflow", absorber="none", exact=False, seed=1.0, kind="detuning",
+                  points=2 * BLOCK + 1, start=-50.0, stop=1e5, depths=2))
+    # far detunings on the |q| <= 1e-3 series, near ones on cosh/sinh
+    @example(dict(medium="fig2", absorber="none", exact=False, seed=1.0, kind="detuning",
+                  points=BLOCK + 905, start=-1e9, stop=400.0, depths=2))
+    @example(dict(medium="dark", absorber="narrow", exact=True, seed=0.5, kind="detuning",
+                  points=401, start=-3e3, stop=1e5, depths=2))
+    # 23 depths in groups of 10 rows, and rows split into a block and a partial block
+    @example(dict(medium="fig2", absorber="broad", exact=False, seed=1.0, kind="depth",
+                  points=401, start=-400.0, stop=400.0, depths=23))
+    @example(dict(medium="dark", absorber="narrow", exact=True, seed=1.0, kind="depth",
+                  points=BLOCK + 905, start=-1e9, stop=1e5, depths=3))
+    def test_columns_match_out_of_place_blocks(self, case):
+        with mock.patch.object(scan, "_row_groups", reference_row_groups):
+            try:
+                want = sweep_case(**case)
+            except OverflowError:  # a depth-scan peak refinement squares past the double range
+                want = None
+        if want is None:
+            with pytest.raises(OverflowError):
+                sweep_case(**case)
+            return
+        got = sweep_case(**case)
+        for g, w in zip(got.columns, want.columns, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_examples_reach_the_series_and_the_flags(self):
+        # the @examples above hold points on both expm2 branches, and flagged and clean blocks
+        fig2 = MEDIA["fig2"]
+        deltas = np.linspace(-1e9, 400.0, BLOCK + 905)
+        m00, m01, m10, m11 = coupling_entries(fig2, 0j, deltas)
+        q = np.sqrt((0.5 * (m00 - m11)) ** 2 + m01 * m10)
+        assert (np.abs(q) <= 1e-3).any() and (np.abs(q) > 1e-3).any()
+        for medium in ("singular", "overflow"):
+            case = dict(medium=medium, absorber="none", exact=False, seed=0.5, kind="detuning",
+                        points=2 * BLOCK + 1, start=-50.0, stop=1e5, depths=2)
+            flagged = sweep_case(**case).flagged
+            assert flagged[:BLOCK].any() and not flagged[BLOCK:].any()
+
+    def test_columns_share_no_memory(self, fig2_scenario, fig4_scenarios):
+        workspaces = []
+
+        def recorded(*args):
+            workspaces.append(scan_workspace(*args))
+            return workspaces[-1]
+
+        scan_workspace = scan._workspace
+        fig4 = fig4_scenarios["4.16"]
+        wide = default_detuning_spec(fig4.eit, 2 * BLOCK + 1)
+        with mock.patch.object(scan, "_workspace", recorded):
+            sweeps = [
+                sweep_detuning(fig4, wide),
+                sweep_detuning(fig4, wide),
+                sweep_absorber_depth(fig2_scenario, fig2_scenario.sweep),
+                sweep_absorber_depth(fig2_scenario, fig2_scenario.sweep),
+            ]
+        assert len(workspaces) == len(sweeps)
+        columns = [column for sweep in sweeps for column in sweep.columns]
+        for i, column in enumerate(columns):
+            assert not any(np.shares_memory(column, other) for other in columns[i + 1 :])
+            assert not any(np.shares_memory(column, b) for ws in workspaces for b in ws)
+
+    @pytest.mark.parametrize(
+        "shapes", [((5,), (5,), (5,), (5,)), ((3, 1), (), (4,), (1, 4)), ((2, 1, 3), (3,), (), ())]
+    )
+    def test_expm2_broadcasts_into_separate_arrays(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]))
+        entries = [
+            complex(*rng.normal(size=2)) if shape == () else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for shape in shapes
+        ]
+        got, want = expm2(*entries), reference_expm2(*entries)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape == np.broadcast_shapes(*shapes)
+            assert g.tobytes() == w.tobytes()
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1 :])
 
 
 class TestNonFiniteGrid:
