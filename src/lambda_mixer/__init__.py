@@ -20,7 +20,6 @@ from .model import (
     ScanOptions,
     Scenario,
     SweepSpec,
-    compute_optical_depth,
     validate,
 )
 from .propagation import (
@@ -28,7 +27,6 @@ from .propagation import (
     analytic_resonant_output,
     approx_output_with_absorber,
     build_coupling_matrix,
-    eit_reference_transmission,
     n_fwm,
     noise_suppression_ratio,
     propagate,
@@ -94,10 +92,8 @@ __all__ = [
     "bandwidth_check",
     "build_coupling_matrix",
     "chi_abs",
-    "compute_optical_depth",
     "default_detuning_spec",
     "effective_depth",
-    "eit_reference_transmission",
     "full_report",
     "fwm_strength",
     "load_scenario",

@@ -39,8 +39,6 @@ from .errors import DomainError, ValidationError, Violation
 if TYPE_CHECKING:
     import numpy as np
 
-C_LIGHT = 299_792_458.0  # m/s
-MHZ = 1e6  # Hz per MHz
 MAX_SWEEP_POINTS = 100_000  # bounds one sweep's output; a depth scan times its inner grid
 SweepAxis = Literal["two-photon-detuning", "absorber-depth"]
 DETUNING_AXIS, DEPTH_AXIS = get_args(SweepAxis)
@@ -173,7 +171,11 @@ class SweepSpec:
     scale: Literal["linear", "logarithmic"] = "linear"
 
     def grid(self) -> np.ndarray:
-        """The points, strictly increasing; DomainError if the span cannot hold them."""
+        """The points, strictly increasing; DomainError if the span cannot hold them.
+
+        A spec built in code is not validated, so its point count and its
+        logarithmic start are checked here, before numpy runs.
+        """
         import numpy as np
 
         if not math.isfinite(self.stop - self.start):  # also an inf or nan endpoint
@@ -181,6 +183,10 @@ class SweepSpec:
                 "sweep start, stop and their difference must be finite, "
                 f"got {self.start!r} .. {self.stop!r}"
             )
+        if not 1 <= self.points <= MAX_SWEEP_POINTS:
+            raise DomainError(f"sweep points must lie in 1..{MAX_SWEEP_POINTS}, got {self.points!r}")
+        if self.scale == "logarithmic" and not self.start > 0:
+            raise DomainError(f"a logarithmic sweep must start above 0, got {self.start!r}")
         space = np.geomspace if self.scale == "logarithmic" else np.linspace
         with np.errstate(over="ignore"):  # geomspace overflows at a stop near the float maximum,
             grid = space(self.start, self.stop, self.points)  # then puts stop itself there
@@ -200,8 +206,6 @@ class ScanOptions:
     apply_light_shift: move the absorber line center by |omega_a|^2/delta_2
     exact_absorber: use the full absorber susceptibility profile instead of
         the Lorentzian approximation
-    normalize_stokes: "input" references Stokes output to the input signal
-        intensity, "max" renormalizes the curve to its own maximum
     delta_a: detuning of the Raman control seen by the EIT isotope (MHz),
         needed by the spurious-scattering design check
     eit_fraction / absorber_fraction: isotope mix fractions used to derive
@@ -213,7 +217,6 @@ class ScanOptions:
     stokes_seed: float = _nonnegative(default=1.0)
     apply_light_shift: bool = True
     exact_absorber: bool = False
-    normalize_stokes: Literal["input", "max"] = "input"
     delta_a: Optional[float] = _nonzero("must be nonzero when given", default=None)
     eit_fraction: Optional[float] = _fraction(default=None)
     absorber_fraction: Optional[float] = _fraction(default=None)
@@ -228,23 +231,6 @@ class Scenario:
     absorber: Optional[RamanAbsorber] = None
     sweep: Optional[SweepSpec] = None
     options: ScanOptions = field(default_factory=ScanOptions)
-
-
-def compute_optical_depth(g: float, n: float, length: float, gamma_ge: float) -> float:
-    """Resonant optical depth g^2*N*L/(c*gamma_ge) with MHz rates and meters.
-
-    g is the single-photon Rabi frequency (MHz), n the atom count, length the
-    medium length (m).
-    """
-    violations = []
-    for name, value in (("g", g), ("n", n), ("length", length), ("gamma_ge", gamma_ge)):
-        if not math.isfinite(value):
-            violations.append(Violation(name, value, "must be finite"))
-        elif not value > 0:
-            violations.append(Violation(name, value, "must be positive"))
-    if violations:
-        raise ValidationError(violations)
-    return (g * MHZ) ** 2 * n * length / (C_LIGHT * gamma_ge * MHZ)
 
 
 class FieldSpec(NamedTuple):

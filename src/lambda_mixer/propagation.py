@@ -276,12 +276,3 @@ def noise_suppression_ratio(eit: EitMedium, d_abs: float) -> float:
         raise OverflowError(f"noise ratio is {noise!r} at d_abs = {d_abs!r}")
     return noise
 
-
-def eit_reference_transmission(eit: EitMedium, delta: float = 0.0) -> float:
-    """Probe intensity transmission with the FWM couplings switched off.
-
-    Obtained by keeping only the probe's diagonal entry of the generator,
-    which retains the spin decoherence.
-    """
-    m00, _, _, _ = coupling_entries(eit, 0j, delta)
-    return math.exp(2.0 * m00.real)

@@ -17,6 +17,7 @@ A depth scan refines the peaks of all its rows in one array pass.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -60,8 +61,8 @@ class Sweep(Sequence[SpectrumRecord]):
 
     The columns are attributes named after the fields, and .columns in field
     order.  As a sequence it holds one SpectrumRecord per grid point, built
-    when indexed or iterated; no record is kept.  It compares equal to a
-    list of the same records.
+    when indexed or iterated; no record is kept.  A slice is a Sweep over
+    views of the columns.  It compares equal to a Sweep with equal columns.
     """
 
     __slots__ = SpectrumRecord._fields
@@ -78,7 +79,10 @@ class Sweep(Sequence[SpectrumRecord]):
     def __len__(self) -> int:
         return len(self.axis_value)
 
-    def __getitem__(self, i: int) -> SpectrumRecord:
+    def __getitem__(self, i: int | slice) -> SpectrumRecord | Sweep:
+        if isinstance(i, slice):
+            return Sweep(*(column[i] for column in self.columns))
+        i = operator.index(i)  # a TypeError for a float index, as a list raises
         return SpectrumRecord._make(column[i].item() for column in self.columns)
 
     def __iter__(self) -> Iterator[SpectrumRecord]:
@@ -87,9 +91,9 @@ class Sweep(Sequence[SpectrumRecord]):
         return map(tuple.__new__, repeat(SpectrumRecord), rows)
 
     def __eq__(self, other):
-        if isinstance(other, Sweep):
-            other = list(other)
-        return list(self) == other if isinstance(other, list) else NotImplemented
+        if not isinstance(other, Sweep):
+            return NotImplemented
+        return all(map(np.array_equal, self.columns, other.columns))
 
 
 def eit_linewidth(eit: EitMedium) -> float:
@@ -233,11 +237,7 @@ def sweep_detuning(
     values, flagged = next(
         _row_groups(scenario.eit, profile, grid, np.array([depth]), scenario.options.stokes_seed)
     )
-    probe, stokes, shape, reference = values[:, 0]
-    peak = stokes.max(initial=0.0)  # flagged points are zero
-    if scenario.options.normalize_stokes == "max" and peak > 0.0:
-        stokes = stokes / peak
-    return Sweep(grid, probe, stokes, shape, reference, flagged[0])
+    return Sweep(grid, *values[:, 0], flagged[0])
 
 
 def _row_peaks(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
@@ -319,21 +319,16 @@ def sweep_absorber_depth(
     return Sweep(depths, *peaks, flagged)
 
 
-def asymmetry_metric(records: Sequence[SpectrumRecord]) -> float:
+def asymmetry_metric(sweep: Sweep) -> float:
     """Mirror asymmetry of the probe spectrum, in [0, 1].
 
     L1 difference between the probe curve and its mirror image about zero
     detuning, normalized so a symmetric curve gives 0 and a curve wholly on
-    one side gives 1.  The grid must be symmetric about 0.  A Sweep is read
-    by its columns.
+    one side gives 1.  The grid must be symmetric about 0.
     """
-    if not records:
+    if not sweep:
         raise DomainError("asymmetry metric requires at least one grid point")
-    if isinstance(records, Sweep):
-        deltas, p = records.axis_value, records.probe_transmission
-    else:
-        deltas = np.array([r.axis_value for r in records])
-        p = np.array([r.probe_transmission for r in records])
+    deltas, p = sweep.axis_value, sweep.probe_transmission
     tol = 1e-9 * max(1.0, float(np.abs(deltas).max()))
     if not np.all(np.abs(deltas + deltas[::-1]) <= tol):
         raise DomainError("asymmetry metric requires a grid symmetric about zero detuning")

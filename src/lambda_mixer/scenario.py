@@ -163,7 +163,7 @@ def resolve_scenario_path(name: str) -> Path:
 def load_scenario(name: str) -> tuple[Scenario, Path]:
     path = resolve_scenario_path(name)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # drops a BOM, as Windows editors write
     except UnicodeDecodeError as exc:  # a ValueError, which would escape the CLI as a traceback
         raise ScenarioFileError(path, [f"not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
     return parse_scenario_text(text, str(path)), path

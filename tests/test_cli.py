@@ -156,6 +156,30 @@ class TestScanDetuning:
         assert err == [f"invalid scenario {scenario}:", "  not UTF-8 text (invalid start byte at byte 0)"]
         assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
 
+    def test_utf8_scenario_with_a_byte_order_mark_accepted(self, tmp_path):
+        # as Windows editors write UTF-8; read as text, the mark would prefix line 1
+        scenario = tmp_path / "bom.toml"
+        scenario.write_bytes(b"\xef\xbb\xbf" + resolve_scenario_path("fig4_dabs_0.83").read_bytes())
+        out, want = tmp_path / "bom.csv", tmp_path / "want.csv"
+        assert main(["scan-detuning", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert main(["scan-detuning", "--scenario", "fig4_dabs_0.83", "--out", str(want)]) == EXIT_OK
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_removed_normalize_stokes_option_rejected(self, tmp_path, capsys):
+        line = 'normalize_stokes = "max"'
+        scenario = shipped_with(
+            tmp_path, "fig4_dabs_0.83", "stokes_seed = 1.0", f"stokes_seed = 1.0\n{line}"
+        )
+        lineno = scenario.read_text().splitlines().index(line) + 1
+        argv = ["scan-detuning", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--json", "--svg"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"invalid scenario {scenario}:",
+            f"  line {lineno}: unknown key 'normalize_stokes' in section [options]",
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
+
     def test_infinite_stokes_seed_rejected(self, tmp_path, capsys):
         scenario = shipped_with(tmp_path, "fig4_dabs_0.83", "stokes_seed = 1.0", "stokes_seed = inf")
         code = main(["scan-detuning", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from lambda_mixer.errors import DomainError, ValidationError
 from lambda_mixer.model import (
-    C_LIGHT,
+    MAX_SWEEP_POINTS,
     CouplingMatrix,
     EitMedium,
     FieldPair,
@@ -14,36 +15,10 @@ from lambda_mixer.model import (
     ScanOptions,
     Scenario,
     SweepSpec,
-    compute_optical_depth,
     field_violations,
     scenario_violations,
     validate,
 )
-
-
-class TestOpticalDepth:
-    def test_definition_identity(self):
-        n, length, gamma = 1e10, 0.05, 300.0
-        g = math.sqrt(15.0 * C_LIGHT * gamma * 1e6 / (n * length)) / 1e6
-        assert compute_optical_depth(g, n, length, gamma) == pytest.approx(15.0, rel=1e-12)
-
-    def test_linear_in_atom_number(self):
-        d1 = compute_optical_depth(0.05, 1e10, 0.05, 300.0)
-        d2 = compute_optical_depth(0.05, 2e10, 0.05, 300.0)
-        assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
-
-    def test_nonpositive_input_names_field(self):
-        with pytest.raises(ValidationError) as err:
-            compute_optical_depth(0.05, -1e10, 0.05, 300.0)
-        assert any(v.field == "n" for v in err.value.violations)
-        with pytest.raises(ValidationError) as err:
-            compute_optical_depth(0.0, 1e10, 0.05, 300.0)
-        assert any(v.field == "g" for v in err.value.violations)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValidationError) as err:
-                compute_optical_depth(0.05, 1e10, bad, 300.0)
-            violations = [(v.field, v.constraint) for v in err.value.violations]
-            assert violations == [("length", "must be finite")]
 
 
 class TestValidate:
@@ -153,6 +128,26 @@ class TestSweepSpec:
         assert np.allclose(lin.grid(), [-1.0, -0.5, 0.0, 0.5, 1.0])
         log = SweepSpec(axis="absorber-depth", start=1.0, stop=100.0, points=3, scale="logarithmic")
         assert np.allclose(log.grid(), [1.0, 10.0, 100.0])
+        # one point, as peak_outputs builds
+        one = SweepSpec(axis="absorber-depth", start=2.0, stop=2.0, points=1)
+        assert one.grid().tolist() == [2.0]
+
+    @pytest.mark.parametrize(
+        "start, points, scale, message",
+        [
+            (0.0, 3, "logarithmic", "a logarithmic sweep must start above 0, got 0.0"),
+            (-1.0, 3, "logarithmic", "a logarithmic sweep must start above 0, got -1.0"),
+            (0.5, 0, "linear", f"sweep points must lie in 1..{MAX_SWEEP_POINTS}, got 0"),
+            (0.5, MAX_SWEEP_POINTS + 1, "linear", "sweep points must lie in "),
+            (0.5, MAX_SWEEP_POINTS + 1, "logarithmic", "sweep points must lie in "),
+        ],
+    )
+    def test_grid_rejects_a_spec_built_in_code_before_numpy(self, start, points, scale, message):
+        # a spec built in code is not validated: numpy would raise its own ValueError at
+        # start 0, warn in log10 at start -1, and allocate 8 bytes per point of any count
+        spec = SweepSpec(axis="absorber-depth", start=start, stop=1.0, points=points, scale=scale)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            spec.grid()
 
     @pytest.mark.parametrize(
         "axis, start, stop, scale, values",

@@ -12,19 +12,25 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from lambda_mixer.errors import DomainError, IntegrationError, SingularityError
-from lambda_mixer.model import CouplingMatrix, EitMedium, FieldPair, RamanAbsorber
+from lambda_mixer.model import (
+    CouplingMatrix,
+    EitMedium,
+    FieldPair,
+    RamanAbsorber,
+    Scenario,
+    SweepSpec,
+)
 from lambda_mixer.propagation import (
     analytic_resonant_output,
     approx_output_with_absorber,
     build_coupling_matrix,
     coupling_entries,
-    eit_reference_transmission,
     expm2,
     n_fwm,
     noise_suppression_ratio,
     propagate,
 )
-from lambda_mixer.scan import absorber_loss_profile, default_detuning_spec
+from lambda_mixer.scan import absorber_loss_profile, default_detuning_spec, sweep_detuning
 from lambda_mixer.scenario import load_scenario
 from lambda_mixer.susceptibility import chi_abs, normalized_lineshape
 
@@ -696,13 +702,18 @@ class TestNoiseQuantities:
 
 
 class TestEitReference:
+    """A sweep's eit_reference column: the probe intensity with the FWM couplings off."""
+
     def test_matches_diagonal_exponential(self, sec5_eit):
-        for delta in (0.0, 1.0, -3.7):
+        spec = SweepSpec(axis="two-photon-detuning", start=-3.7, stop=3.7, points=75)
+        sweep = sweep_detuning(Scenario(eit=sec5_eit), spec)
+        for delta, reference in zip(sweep.axis_value.tolist(), sweep.eit_reference.tolist()):
             m00, _, _, _ = coupling_entries(sec5_eit, 0j, delta)
-            assert eit_reference_transmission(sec5_eit, delta) == pytest.approx(
-                abs(cmath.exp(m00)) ** 2, rel=1e-12
-            )
+            assert reference == pytest.approx(abs(cmath.exp(m00)) ** 2, rel=1e-12)
 
     def test_lossless_spin_gives_unit_transmission(self):
         eit = EitMedium(300.0, 0.0, 3036.0, 50.0, 15.0)
-        assert eit_reference_transmission(eit, 0.0) == pytest.approx(1.0, rel=1e-12)
+        spec = SweepSpec(axis="two-photon-detuning", start=-1.0, stop=1.0, points=3)
+        sweep = sweep_detuning(Scenario(eit=eit), spec)
+        assert sweep.axis_value[1] == 0.0
+        assert sweep.eit_reference[1] == pytest.approx(1.0, rel=1e-12)

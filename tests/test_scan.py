@@ -91,13 +91,6 @@ class TestDetuningSweep:
             ):
                 assert math.isfinite(value) and value >= 0.0
 
-    def test_stokes_max_normalization(self, fig4_scenarios):
-        scenario = fig4_scenarios["0.83"]
-        normalized = replace(scenario, options=replace(scenario.options, normalize_stokes="max"))
-        records = sweep_detuning(normalized)
-        peak = max(r.stokes_output for r in records)
-        assert peak == pytest.approx(1.0, rel=1e-12)
-
     def test_exact_absorber_profile_close_to_lorentzian(self, fig4_scenarios):
         # the escape hatch substitutes the full susceptibility profile; for a
         # narrow line it must track the Lorentzian reduction closely, in both
@@ -295,6 +288,18 @@ class TestSweepContract:
         with pytest.raises(IndexError):
             sweep[-402]
 
+    def test_slices_and_non_integer_indices(self, sweep):
+        # as on a list, not numpy's errors for a slice of .item() or a float index
+        for part in (slice(1, 3), slice(None, None, -50), slice(398, 1000), slice(5, 2)):
+            sliced = sweep[part]
+            assert type(sliced) is Sweep
+            assert list(sliced) == list(sweep)[part]
+            assert not any(column.flags.writeable for column in sliced.columns)
+        for index in (1.0, np.float64(1.0), "1", None):
+            with pytest.raises(TypeError):
+                sweep[index]
+        assert sweep[np.int64(3)] == sweep[3]
+
     def test_records_are_plain_python(self, sweep):
         record = sweep[7]
         assert type(record) is SpectrumRecord
@@ -305,12 +310,18 @@ class TestSweepContract:
         assert records == [sweep[i] for i in range(len(sweep))]
         assert all(type(r) is SpectrumRecord for r in records)
 
-    def test_equal_to_its_list_of_records(self, sweep):
-        records = list(sweep)
-        assert sweep == records and records == sweep
+    def test_equal_only_to_a_sweep_with_equal_columns(self, sweep):
         assert sweep == Sweep(*sweep.columns)
-        assert sweep != records[:-1]
-        assert sweep != [r._replace(flagged=True) for r in records]
+        assert sweep == Sweep(*(column.copy() for column in sweep.columns))
+        assert sweep != sweep[:-1]
+        probe = sweep.probe_transmission.copy()
+        probe[7] = np.nextafter(probe[7], math.inf)
+        assert sweep != Sweep(sweep.axis_value, probe, *sweep.columns[2:])
+        flagged = sweep.flagged.copy()
+        flagged[7] = True
+        assert sweep != Sweep(*sweep.columns[:-1], flagged)
+        records = list(sweep)
+        assert sweep != records and records != sweep
         assert sweep != tuple(records)
 
     def test_columns_are_read_only(self, sweep):
@@ -332,11 +343,9 @@ class TestSweepContract:
         assert type(one) is SpectrumRecord
         assert one == scan[1]
 
-    def test_asymmetry_metric_takes_sweep_or_list(self, sweep):
-        assert asymmetry_metric(sweep) == asymmetry_metric(list(sweep))
-
     def test_asymmetry_metric_reads_sweep_columns(self, sweep, monkeypatch):
-        want = asymmetry_metric(list(sweep))
+        p = sweep.probe_transmission
+        want = float(np.sum(np.abs(p - p[::-1])) / np.sum(p + p[::-1]))
 
         def no_records(*args):
             raise AssertionError("the sweep was read record by record")
@@ -633,42 +642,40 @@ class TestNonFiniteGrid:
 
 class TestAsymmetryMetric:
     @staticmethod
-    def _records(deltas, probe):
-        return [
-            SpectrumRecord(
-                axis_value=d,
-                probe_transmission=p,
-                stokes_output=0.0,
-                absorber_profile=0.0,
-                eit_reference=1.0,
-            )
-            for d, p in zip(deltas, probe)
-        ]
+    def _sweep(deltas, probe):
+        n = len(deltas)
+        return Sweep(
+            np.array(deltas, float),
+            np.array(probe, float),
+            np.zeros(n),
+            np.zeros(n),
+            np.ones(n),
+            np.zeros(n, bool),
+        )
 
     def test_symmetric_curve_gives_zero(self):
         deltas = np.linspace(-5, 5, 41)
-        records = self._records(deltas, np.exp(-deltas**2))
-        assert asymmetry_metric(records) == 0.0
+        assert asymmetry_metric(self._sweep(deltas, np.exp(-deltas**2))) == 0.0
 
     def test_one_sided_curve_gives_one(self):
         deltas = np.linspace(-5, 5, 41)
         probe = np.where(deltas > 0, 1.0, 0.0)
-        assert asymmetry_metric(self._records(deltas, probe)) == pytest.approx(1.0)
+        assert asymmetry_metric(self._sweep(deltas, probe)) == pytest.approx(1.0)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DomainError, match="at least one grid point"):
-            asymmetry_metric([])
+            asymmetry_metric(self._sweep([], []))
 
     def test_asymmetric_grid_rejected(self):
         deltas = np.linspace(-4, 5, 40)
         with pytest.raises(DomainError):
-            asymmetry_metric(self._records(deltas, np.ones_like(deltas)))
+            asymmetry_metric(self._sweep(deltas, np.ones_like(deltas)))
 
     def test_bounded(self):
         rng = np.random.default_rng(3)
         deltas = np.linspace(-3, 3, 31)
         for _ in range(20):
-            value = asymmetry_metric(self._records(deltas, rng.uniform(0.0, 2.0, size=31)))
+            value = asymmetry_metric(self._sweep(deltas, rng.uniform(0.0, 2.0, size=31)))
             assert 0.0 <= value <= 1.0
 
 

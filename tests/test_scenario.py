@@ -40,7 +40,7 @@ points = 401
 [options]
 stokes_seed = 1.0
 apply_light_shift = false
-normalize_stokes = "input"
+exact_absorber = false
 delta_a = 14677.0
 """
 
@@ -270,7 +270,6 @@ PINNED_KEYS = {
         "stokes_seed": (float, False),
         "apply_light_shift": (bool, False),
         "exact_absorber": (bool, False),
-        "normalize_stokes": (str, False),
         "delta_a": (float, False),
         "eit_fraction": (float, False),
         "absorber_fraction": (float, False),
