@@ -139,6 +139,9 @@ def _output_paths(args) -> list[Path]:
     sidecars = [out.with_suffix(s) for s, on in ((".json", args.json), (".svg", args.svg)) if on]
     if out in sidecars:
         raise _UsageError(f"--out {args.out} is also the {out.suffix} sidecar path; pick another")
+    for path in (out, *sidecars):  # os.replace onto it would fail after the CSV is written
+        if path.is_dir():
+            raise _UsageError(f"{path} is a directory; pick another --out")
     return [out, *sidecars]
 
 

@@ -157,36 +157,46 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for one sweep axis.
-
-    start < stop; start > 0 on a logarithmic scale, start >= 0 on the absorber-depth axis.
-    """
+    """Grid description for one sweep axis; :meth:`violations` holds every rule it must meet."""
 
     axis: SweepAxis
     start: float
     stop: float
-    points: int = _rule(
-        lambda n: 2 <= n <= MAX_SWEEP_POINTS, f"must be at least 2 and at most {MAX_SWEEP_POINTS}"
+    points: int = _rule(  # __index__: an int or a numpy integer, not 3.5, with no numbers import
+        lambda n: hasattr(n, "__index__") and 2 <= n <= MAX_SWEEP_POINTS,
+        f"must be an integer, at least 2 and at most {MAX_SWEEP_POINTS}",
     )
     scale: Literal["linear", "logarithmic"] = "linear"
 
-    def grid(self) -> np.ndarray:
-        """The points, strictly increasing; DomainError if the span cannot hold them.
+    def violations(self) -> list[Violation]:
+        """The field rules, then those that span fields; none builds the grid.
 
-        A spec built in code is not validated, so its point count and its
-        logarithmic start are checked here, before numpy runs.
+        start < stop with a finite stop - start; start > 0 on a logarithmic
+        scale, start >= 0 on the absorber-depth axis.
         """
+        v = field_violations(self, "sweep.")
+        start, stop = self.start, self.stop
+        if not math.isfinite(start):  # a field rule has said so
+            return v
+        if math.isfinite(stop) and not start < stop:
+            v.append(Violation("sweep.start", start, "must be less than stop"))
+        elif math.isfinite(stop) and not math.isfinite(stop - start):
+            v.append(Violation("sweep.stop", stop, f"must lie a finite distance above {start!r}"))
+        if self.scale == "logarithmic" and not start > 0:
+            v.append(Violation("sweep.start", start, "must be positive on a logarithmic scale"))
+        elif self.axis == DEPTH_AXIS and start < 0:
+            v.append(Violation("sweep.start", start, "must be nonnegative on the absorber-depth axis"))
+        return v
+
+    def grid(self) -> np.ndarray:
+        """The points, strictly increasing; DomainError if a rule is broken or the span is too narrow.
+
+        The rules are checked before numpy runs: a spec built in code has not been validated.
+        """
+        if violations := self.violations():
+            raise DomainError("; ".join(map(str, violations)))
         import numpy as np
 
-        if not math.isfinite(self.stop - self.start):  # also an inf or nan endpoint
-            raise DomainError(
-                "sweep start, stop and their difference must be finite, "
-                f"got {self.start!r} .. {self.stop!r}"
-            )
-        if not 1 <= self.points <= MAX_SWEEP_POINTS:
-            raise DomainError(f"sweep points must lie in 1..{MAX_SWEEP_POINTS}, got {self.points!r}")
-        if self.scale == "logarithmic" and not self.start > 0:
-            raise DomainError(f"a logarithmic sweep must start above 0, got {self.start!r}")
         space = np.geomspace if self.scale == "logarithmic" else np.linspace
         with np.errstate(over="ignore"):  # geomspace overflows at a stop near the float maximum,
             grid = space(self.start, self.stop, self.points)  # then puts stop itself there
@@ -262,13 +272,13 @@ def field_specs(cls: type) -> tuple[FieldSpec, ...]:
 def field_violations(obj, prefix: str = "") -> list[Violation]:
     """Per-field violations of one dataclass instance: choices, finiteness, then its rule.
 
-    ``None`` (an absent optional value) and booleans are not checked.  A field
+    ``None`` (an absent optional value) and a bool field are not checked.  A field
     reports at most one violation.
     """
     v: list[Violation] = []
-    for name, _, _, choices, rule in field_specs(type(obj)):
+    for name, tp, _, choices, rule in field_specs(type(obj)):
         value = getattr(obj, name)
-        if value is None or isinstance(value, bool):
+        if value is None or tp is bool:
             continue
         if choices and value not in choices:
             constraint = f"must be one of {choices}"
@@ -283,32 +293,17 @@ def field_violations(obj, prefix: str = "") -> list[Violation]:
 
 
 def scenario_violations(s: Scenario) -> list[Violation]:
-    """Every per-field violation of every section, then the rules that span fields."""
+    """Every violation of every section in turn, then the rule that spans the eit fields."""
     v: list[Violation] = []
     for section in field_specs(Scenario):
         obj = getattr(s, section.name)
-        if obj is not None:
+        if isinstance(obj, SweepSpec):
+            v += obj.violations()
+        elif obj is not None:
             v += field_violations(obj, section.name + ".")
     if 0 < s.eit.gamma_ge < s.eit.gamma_gs < math.inf:
-        v.append(
-            Violation(
-                "eit.gamma_gs",
-                s.eit.gamma_gs,
-                "must not exceed gamma_ge (ordering of coherence decay rates)",
-            )
-        )
-    sweep = s.sweep
-    if sweep is not None and math.isfinite(sweep.start):
-        if math.isfinite(sweep.stop) and not sweep.start < sweep.stop:
-            v.append(Violation("sweep.start", sweep.start, "must be less than stop"))
-        if sweep.scale == "logarithmic" and not sweep.start > 0:
-            v.append(
-                Violation("sweep.start", sweep.start, "must be positive on a logarithmic scale")
-            )
-        elif sweep.axis == DEPTH_AXIS and sweep.start < 0:
-            v.append(
-                Violation("sweep.start", sweep.start, "must be nonnegative on the absorber-depth axis")
-            )
+        rule = "must not exceed gamma_ge (ordering of coherence decay rates)"
+        v.append(Violation("eit.gamma_gs", s.eit.gamma_gs, rule))
     return v
 
 

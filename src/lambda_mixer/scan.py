@@ -111,9 +111,8 @@ def eit_linewidth(eit: EitMedium) -> float:
 def default_detuning_spec(eit: EitMedium, points: int = DEFAULT_DETUNING_POINTS) -> SweepSpec:
     """Linear detuning grid covering the EIT window, FWM sidebands, and absorber.
 
-    Raises DomainError, naming the window, when its grid fails
-    SweepSpec.grid: too narrow to hold points distinct detunings, as when
-    omega_c**2 underflows, or not finite.
+    Raises DomainError, naming the window, when SweepSpec.grid rejects it,
+    as when omega_c**2 underflows or overflows.
     """
     half = DEFAULT_WINDOW_WIDTHS * eit_linewidth(eit)
     spec = SweepSpec(axis=DETUNING_AXIS, start=-half, stop=half, points=points)
@@ -273,37 +272,9 @@ def _row_peaks(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
     return peaks
 
 
-def peak_outputs(
-    scenario: Scenario,
-    depth_override: float,
-    inner_spec: Optional[SweepSpec] = None,
-) -> SpectrumRecord:
-    """Detuning-maximized probe/Stokes outputs at one absorber depth."""
-    one = SweepSpec(axis=DEPTH_AXIS, start=depth_override, stop=depth_override, points=1)
-    return sweep_absorber_depth(scenario, one, inner_spec=inner_spec)[0]
-
-
-def sweep_absorber_depth(
-    scenario: Scenario,
-    spec: SweepSpec,
-    workers: Optional[int] = None,
-    inner_spec: Optional[SweepSpec] = None,
-) -> Sweep:
-    """Peak probe/Stokes outputs as a function of the effective absorber depth.
-
-    The scenario's absorber sets the line shape; its effective depth is
-    replaced by each grid value in turn, which must be nonnegative.  workers
-    is accepted for compatibility and ignored, as in sweep_detuning.
-    """
-    if spec.axis != DEPTH_AXIS:
-        raise DomainError(f"sweep_absorber_depth requires axis {DEPTH_AXIS!r}, got {spec.axis!r}")
-    if inner_spec is None:
-        inner_spec = default_detuning_spec(scenario.eit)
-    if not (spec.start >= 0.0 and spec.stop >= 0.0):  # also catches NaN; the grid lies between
-        raise DomainError(
-            f"absorber depths must be nonnegative numbers, got {spec.start!r} .. {spec.stop!r}"
-        )
-    depths = spec.grid()
+def _depth_scan(scenario: Scenario, depths: np.ndarray, inner_spec: Optional[SweepSpec]) -> Sweep:
+    """Peak outputs at each of the nonnegative effective absorber depths."""
+    inner_spec = inner_spec or default_detuning_spec(scenario.eit)
     profile, _ = absorber_loss_profile(scenario)
     if profile is _no_loss and np.any(depths != 0.0):
         raise DomainError(
@@ -317,6 +288,34 @@ def sweep_absorber_depth(
     ]
     peaks, flagged = (np.concatenate(parts, axis=-1) for parts in zip(*groups))
     return Sweep(depths, *peaks, flagged)
+
+
+def peak_outputs(
+    scenario: Scenario,
+    depth_override: float,
+    inner_spec: Optional[SweepSpec] = None,
+) -> SpectrumRecord:
+    """Detuning-maximized probe/Stokes outputs at one absorber depth."""
+    if not 0.0 <= depth_override < math.inf:  # also NaN
+        raise DomainError(f"an absorber depth must be nonnegative and finite, got {depth_override!r}")
+    return _depth_scan(scenario, np.array([depth_override], float), inner_spec)[0]
+
+
+def sweep_absorber_depth(
+    scenario: Scenario,
+    spec: SweepSpec,
+    workers: Optional[int] = None,
+    inner_spec: Optional[SweepSpec] = None,
+) -> Sweep:
+    """Peak probe/Stokes outputs as a function of the effective absorber depth.
+
+    The scenario's absorber sets the line shape; its effective depth is
+    replaced by each grid value in turn.  workers is accepted for
+    compatibility and ignored, as in sweep_detuning.
+    """
+    if spec.axis != DEPTH_AXIS:
+        raise DomainError(f"sweep_absorber_depth requires axis {DEPTH_AXIS!r}, got {spec.axis!r}")
+    return _depth_scan(scenario, spec.grid(), inner_spec)
 
 
 def asymmetry_metric(sweep: Sweep) -> float:

@@ -232,6 +232,16 @@ class TestScanDetuning:
         assert capsys.readouterr().err.splitlines() == ["--out . names no file"] * 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("directory", ["o.csv", "o.json", "o.svg"])
+    def test_out_or_sidecar_that_is_a_directory_rejected(self, tmp_path, capsys, directory):
+        # rejected before anything is written: the CSV and JSON would land before the SVG failed
+        (tmp_path / directory).mkdir()
+        argv = ["--scenario", "fig4_dabs_4.16", "--out", str(tmp_path / "o.csv"), "--json", "--svg"]
+        assert main(["scan-detuning", *argv]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{tmp_path / directory} is a directory; pick another --out"]
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+
     @pytest.mark.parametrize("flag, name", [("--json", "r.json"), ("--svg", "r.svg")])
     def test_out_colliding_with_sidecar_rejected(self, tmp_path, capsys, flag, name):
         out = tmp_path / name
@@ -364,14 +374,20 @@ class TestScanCommands:
         "command, name", [("scan-detuning", "fig4_dabs_4.16"), ("scan-dabs", "fig2_default")]
     )
     def test_default_detuning_window_too_narrow(self, tmp_path, capsys, command, name, omega_c):
-        # omega_c**2 underflows to 0 or to a few subnormals: the window holds fewer than 401 values
+        # omega_c**2 underflows to 0, leaving the window -0.0 .. 0.0, or to a few subnormals,
+        # leaving a window that holds fewer than 401 values
         scenario = shipped_with(tmp_path, name, "omega_c = 50.0", f"omega_c = {omega_c}")
         out = tmp_path / "o.csv"
         argv = [command, "--scenario", str(scenario), "--out", str(out), "--json", "--svg"]
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].endswith("is too narrow for 401 distinct detunings")
+        assert len(err) == 1 and err[0].startswith("the default detuning window +/- ")
+        assert err[0].endswith(
+            {
+                "1e-200": "MHz (omega_c = 1e-200): sweep.start = -0.0: must be less than stop",
+                "1e-160": "is too narrow for 401 distinct detunings",
+            }[omega_c]
+        )
         assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
 
     @pytest.mark.parametrize("command", ["scan-detuning", "scan-dabs"])

@@ -1,9 +1,12 @@
 import math
 import re
+import warnings
+from typing import get_args
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lambda_mixer.errors import DomainError, ValidationError
 from lambda_mixer.model import (
@@ -14,11 +17,51 @@ from lambda_mixer.model import (
     RamanAbsorber,
     ScanOptions,
     Scenario,
+    SweepAxis,
     SweepSpec,
     field_violations,
     scenario_violations,
     validate,
 )
+from lambda_mixer.scenario import ScenarioFileError, parse_scenario_text
+
+# any double, also nan, the infinities and subnormals, weighted toward values a grid can hold
+_ENDPOINT = st.one_of(
+    st.floats(width=64),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.7e308, 1.7e308, math.inf, math.nan]),
+)
+
+
+def _ulps_above(x: float, k: int) -> float:
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@st.composite
+def _sweep_specs(draw) -> SweepSpec:
+    """Endpoints drawn apart, symmetric about 0, or a little or a few ulps apart (too narrow)."""
+    start = draw(_ENDPOINT)
+    stop = draw(
+        st.one_of(
+            _ENDPOINT,
+            st.just(-start),
+            st.floats(0.0, 1e3).map(lambda d: start + d),
+            st.integers(0, 3).map(lambda k: _ulps_above(start, k)),
+        )
+    )
+    points = draw(st.one_of(st.integers(2, 5), st.integers(-1, MAX_SWEEP_POINTS + 1)))
+    axis = draw(st.sampled_from(get_args(SweepAxis)))
+    return SweepSpec(axis, start, stop, points, draw(st.sampled_from(["linear", "logarithmic"])))
+
+
+# a valid [eit] section, lines 1-6, ahead of a [sweep] section
+_EIT = "[eit]\ngamma_ge = 300.0\ngamma_gs = 0.064\ndelta_control = 3036.0\nomega_c = 50.0\ndepth = 15.0\n"
+
+
+def _numpy_ran(*args, **kwargs):
+    raise AssertionError("numpy ran on a spec that breaks a rule")
 
 
 class TestValidate:
@@ -128,18 +171,20 @@ class TestSweepSpec:
         assert np.allclose(lin.grid(), [-1.0, -0.5, 0.0, 0.5, 1.0])
         log = SweepSpec(axis="absorber-depth", start=1.0, stop=100.0, points=3, scale="logarithmic")
         assert np.allclose(log.grid(), [1.0, 10.0, 100.0])
-        # one point, as peak_outputs builds
-        one = SweepSpec(axis="absorber-depth", start=2.0, stop=2.0, points=1)
-        assert one.grid().tolist() == [2.0]
+        # one point is no grid, in code as in a scenario file
+        one = SweepSpec(axis="absorber-depth", start=2.0, stop=3.0, points=1)
+        message = f"sweep.points = 1: must be an integer, at least 2 and at most {MAX_SWEEP_POINTS}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            one.grid()
 
     @pytest.mark.parametrize(
         "start, points, scale, message",
         [
-            (0.0, 3, "logarithmic", "a logarithmic sweep must start above 0, got 0.0"),
-            (-1.0, 3, "logarithmic", "a logarithmic sweep must start above 0, got -1.0"),
-            (0.5, 0, "linear", f"sweep points must lie in 1..{MAX_SWEEP_POINTS}, got 0"),
-            (0.5, MAX_SWEEP_POINTS + 1, "linear", "sweep points must lie in "),
-            (0.5, MAX_SWEEP_POINTS + 1, "logarithmic", "sweep points must lie in "),
+            (0.0, 3, "logarithmic", "sweep.start = 0.0: must be positive on a logarithmic scale"),
+            (-1.0, 3, "logarithmic", "sweep.start = -1.0: must be positive on a logarithmic scale"),
+            (0.5, 0, "linear", "sweep.points = 0: must be an integer, at least 2 and at most "),
+            (0.5, MAX_SWEEP_POINTS + 1, "linear", "sweep.points = 100001: must be an integer"),
+            (0.5, MAX_SWEEP_POINTS + 1, "logarithmic", "sweep.points = 100001: must be an integer"),
         ],
     )
     def test_grid_rejects_a_spec_built_in_code_before_numpy(self, start, points, scale, message):
@@ -148,6 +193,21 @@ class TestSweepSpec:
         spec = SweepSpec(axis="absorber-depth", start=start, stop=1.0, points=points, scale=scale)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
             spec.grid()
+
+    @pytest.mark.parametrize(
+        "points", [3.5, 3.0, np.float64(3.0), "3", True], ids=["3.5", "3.0", "numpy-3.0", "str", "True"]
+    )
+    def test_points_must_be_an_integer(self, points):
+        # numpy's bare TypeError for 3.5 came from inside np.linspace; True would count as 1
+        spec = SweepSpec(axis="two-photon-detuning", start=-1.0, stop=1.0, points=points)
+        message = f"sweep.points = {points!r}: must be an integer"
+        assert [str(v) for v in spec.violations()] == [
+            f"{message}, at least 2 and at most {MAX_SWEEP_POINTS}"
+        ]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            spec.grid()
+        integral = SweepSpec(axis="two-photon-detuning", start=-1.0, stop=1.0, points=np.int64(3))
+        assert integral.grid().tolist() == [-1.0, 0.0, 1.0]
 
     @pytest.mark.parametrize(
         "axis, start, stop, scale, values",
@@ -161,6 +221,39 @@ class TestSweepSpec:
         spec = SweepSpec(axis=axis, start=start, stop=stop, points=3, scale=scale)
         with pytest.raises(DomainError, match=f"is too narrow for 3 distinct {values}$"):
             spec.grid()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sweep_specs())
+    @example(SweepSpec("two-photon-detuning", -1.7e308, 1.7e308, 3))  # the span overflows
+    def test_validation_and_grid_agree(self, spec):
+        violations = spec.violations()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the example
+            if violations:
+                with mock.patch.object(np, "linspace", _numpy_ran), mock.patch.object(
+                    np, "geomspace", _numpy_ran
+                ), pytest.raises(DomainError) as err:
+                    spec.grid()
+                assert str(err.value) == "; ".join(map(str, violations))
+            else:
+                try:
+                    grid = spec.grid()
+                except DomainError as err:
+                    assert re.fullmatch(r"sweep .* is too narrow for \d+ distinct \w+", str(err))
+                else:
+                    assert len(grid) == spec.points
+                    assert np.isfinite(grid).all() and (grid[1:] > grid[:-1]).all()
+        # the same [sweep] section in a scenario file: the same violations, at their keys' lines
+        keys = {"axis": f'"{spec.axis}"', "start": repr(spec.start), "stop": repr(spec.stop)}
+        keys.update(points=str(spec.points), scale=f'"{spec.scale}"')
+        text = _EIT + "[sweep]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        line = {f"sweep.{key}": n for n, key in enumerate(keys, start=8)}
+        try:
+            parse_scenario_text(text)
+            errors = []
+        except ScenarioFileError as err:
+            errors = err.errors
+        assert errors == [f"line {line[v.field]}: {v}" for v in violations]
 
 
 class TestCouplingMatrixType:

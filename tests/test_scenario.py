@@ -164,13 +164,18 @@ class TestParsing:
                 "line 18: sweep.start = 5.0: must be less than stop",
             ),
             (
+                "start = -50.0\nstop = 50.0",
+                "start = -1.7e308\nstop = 1.7e308",
+                "line 19: sweep.stop = 1.7e+308: must lie a finite distance above -1.7e+308",
+            ),
+            (
                 "apply_light_shift = false",
                 "apply_light_shift = yes",
                 "line 24: apply_light_shift must be true or false, got 'yes'",
             ),
             ("delta_a = 14677.0", "delta_a = 14677.0\n[eit]", "line 27: duplicate section [eit]"),
         ],
-        ids=["start-after-stop", "bool", "duplicate-section"],
+        ids=["start-after-stop", "span-overflows", "bool", "duplicate-section"],
     )
     def test_error_carries_line_number(self, old, new, error):
         with pytest.raises(ScenarioFileError) as err:
