@@ -97,9 +97,9 @@ def bandwidth_check(absorber: RamanAbsorber, eit: EitMedium) -> tuple[float, flo
     """
     lhs = two_photon_width(absorber)
     den = eit.gamma_ge * math.sqrt(eit.depth)  # 0 at depth 0, and where the product underflows
-    if den > 0:
+    try:
         rhs = eit.omega_c**2 / den * math.sqrt(2.0 / (1.0 + eit.depth / 12.0))
-    else:
+    except (ZeroDivisionError, OverflowError):  # den is 0, or |omega_c| is above ~1.34e154
         rhs = 0.0 if eit.omega_c == 0 else math.inf
     return lhs, rhs, lhs > rhs
 

@@ -18,7 +18,7 @@ The scenario parser and :func:`validate` both read them through
 from __future__ import annotations
 
 import cmath
-import math
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, cached_property
@@ -42,6 +42,8 @@ if TYPE_CHECKING:
 MAX_SWEEP_POINTS = 100_000  # bounds one sweep's output; a depth scan times its inner grid
 SweepAxis = Literal["two-photon-detuning", "absorber-depth"]
 DETUNING_AXIS, DEPTH_AXIS = get_args(SweepAxis)
+_ABC = {int: numbers.Integral, float: numbers.Real}  # the ABC a number field admits: numpy scalars too
+_MUST_BE = {bool: "true or false", int: "an integer", float: "a real number", str: "a string"}
 
 
 def _rule(check: Callable[[float], bool], constraint: str, **default):
@@ -162,8 +164,8 @@ class SweepSpec:
     axis: SweepAxis
     start: float
     stop: float
-    points: int = _rule(  # __index__: an int or a numpy integer, not 3.5, with no numbers import
-        lambda n: hasattr(n, "__index__") and 2 <= n <= MAX_SWEEP_POINTS,
+    points: int = _rule(  # after the type check: an int or a numpy integer, not 3.5 or True
+        lambda n: 2 <= n <= MAX_SWEEP_POINTS,
         f"must be an integer, at least 2 and at most {MAX_SWEEP_POINTS}",
     )
     scale: Literal["linear", "logarithmic"] = "linear"
@@ -175,12 +177,13 @@ class SweepSpec:
         scale, start >= 0 on the absorber-depth axis.
         """
         v = field_violations(self, "sweep.")
+        failed = {violation.field for violation in v}
         start, stop = self.start, self.stop
-        if not math.isfinite(start):  # a field rule has said so
+        if "sweep.start" in failed:
             return v
-        if math.isfinite(stop) and not start < stop:
+        if "sweep.stop" not in failed and not start < stop:
             v.append(Violation("sweep.start", start, "must be less than stop"))
-        elif math.isfinite(stop) and not math.isfinite(stop - start):
+        elif "sweep.stop" not in failed and not _finite(stop - start):
             v.append(Violation("sweep.stop", stop, f"must lie a finite distance above {start!r}"))
         if self.scale == "logarithmic" and not start > 0:
             v.append(Violation("sweep.start", start, "must be positive on a logarithmic scale"))
@@ -249,6 +252,7 @@ class FieldSpec(NamedTuple):
     name: str
     type: type  # the value type with Optional removed; str for a Literal
     required: bool  # the field has no default
+    optional: bool  # the type is Optional: None is a value
     choices: tuple  # the allowed values of a Literal field, else ()
     rule: Optional[tuple[Callable, str]]  # (check, constraint) from the field's metadata
 
@@ -260,29 +264,38 @@ def field_specs(cls: type) -> tuple[FieldSpec, ...]:
     specs = []
     for f in fields(cls):
         tp, choices = hints[f.name], ()
-        if get_origin(tp) is Union:  # Optional[X]
+        if optional := get_origin(tp) is Union:  # Optional[X]
             (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
         if get_origin(tp) is Literal:
             tp, choices = str, get_args(tp)
         required = f.default is MISSING and f.default_factory is MISSING
-        specs.append(FieldSpec(f.name, tp, required, choices, f.metadata.get("rule")))
+        specs.append(FieldSpec(f.name, tp, required, optional, choices, f.metadata.get("rule")))
     return tuple(specs)
 
 
-def field_violations(obj, prefix: str = "") -> list[Violation]:
-    """Per-field violations of one dataclass instance: choices, finiteness, then its rule.
+def _finite(x) -> bool:
+    try:
+        return cmath.isfinite(x)
+    except OverflowError:  # an int beyond the double range
+        return False
 
-    ``None`` (an absent optional value) and a bool field are not checked.  A field
-    reports at most one violation.
+
+def field_violations(obj, prefix: str = "") -> list[Violation]:
+    """Per-field violations of one dataclass instance: type, choices, finiteness, then its rule.
+
+    ``None`` is a value only of an ``Optional`` field.  A field reports at most
+    one violation.
     """
     v: list[Violation] = []
-    for name, tp, _, choices, rule in field_specs(type(obj)):
+    for name, tp, _, optional, choices, rule in field_specs(type(obj)):
         value = getattr(obj, name)
-        if value is None or tp is bool:
+        if value is None and optional:
             continue
-        if choices and value not in choices:
+        if type(value) is not tp and (isinstance(value, bool) or not isinstance(value, _ABC.get(tp, tp))):
+            constraint = f"must be {_MUST_BE.get(tp) or 'an instance of ' + tp.__name__}"
+        elif choices and value not in choices:
             constraint = f"must be one of {choices}"
-        elif isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        elif (tp is float or tp is complex) and not _finite(value):
             constraint = "must be finite"
         elif rule is not None and not rule[0](value):
             constraint = rule[1]
@@ -294,14 +307,15 @@ def field_violations(obj, prefix: str = "") -> list[Violation]:
 
 def scenario_violations(s: Scenario) -> list[Violation]:
     """Every violation of every section in turn, then the rule that spans the eit fields."""
-    v: list[Violation] = []
+    v = field_violations(s)  # each section is its dataclass, or None where it is optional
     for section in field_specs(Scenario):
         obj = getattr(s, section.name)
         if isinstance(obj, SweepSpec):
             v += obj.violations()
-        elif obj is not None:
+        elif isinstance(obj, section.type):
             v += field_violations(obj, section.name + ".")
-    if 0 < s.eit.gamma_ge < s.eit.gamma_gs < math.inf:
+    failed = {violation.field for violation in v}
+    if not {"eit", "eit.gamma_ge", "eit.gamma_gs"} & failed and s.eit.gamma_gs > s.eit.gamma_ge:
         rule = "must not exceed gamma_ge (ordering of coherence decay rates)"
         v.append(Violation("eit.gamma_gs", s.eit.gamma_gs, rule))
     return v

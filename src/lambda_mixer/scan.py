@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import DEPTH_AXIS, DETUNING_AXIS, EitMedium, Scenario, SweepSpec
+from .model import DEPTH_AXIS, DETUNING_AXIS, EitMedium, Scenario, SweepSpec, validate
 from .propagation import _closed_form, _workspace, coupling_entries
 from .susceptibility import (
     chi_abs,
@@ -227,6 +227,7 @@ def sweep_detuning(
     workers is accepted for compatibility and ignored: the grid is evaluated
     in numpy blocks on the calling thread.
     """
+    validate(scenario)
     if spec is None:
         spec = default_detuning_spec(scenario.eit)
     if spec.axis != DETUNING_AXIS:
@@ -313,6 +314,7 @@ def sweep_absorber_depth(
     replaced by each grid value in turn.  workers is accepted for
     compatibility and ignored, as in sweep_detuning.
     """
+    validate(scenario)
     if spec.axis != DEPTH_AXIS:
         raise DomainError(f"sweep_absorber_depth requires axis {DEPTH_AXIS!r}, got {spec.axis!r}")
     return _depth_scan(scenario, spec.grid(), inner_spec)

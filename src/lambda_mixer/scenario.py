@@ -3,14 +3,15 @@
 Scenario files are a flat, sectioned key-value format (a TOML-compatible
 subset): ``[section]`` headers, one ``key = value`` per line, and ``#``
 comments, which start anywhere on a line (no allowed string value holds one).
-Values are numbers, ``true``/``false``, or double-quoted strings.  All
+A value is a literal: ``true``/``false``, a double-quoted string, an integer
+or a float; the model's dataclasses decide which type each key takes.  All
 quantities are MHz and dimensionless depths.  Unknown sections or keys are
-rejected, and every problem is reported together with its line number rather
-than failing on the first.
+rejected, and every problem is reported together with its line number.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from dataclasses import asdict
@@ -33,7 +34,6 @@ _SECTION_KEYS["absorber"]["gamma_ac"] = (float, False)  # if omitted, it is set 
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 class ScenarioFileError(LambdaMixerError):
@@ -45,27 +45,15 @@ class ScenarioFileError(LambdaMixerError):
         super().__init__(f"{self.path}: " + "; ".join(self.errors))
 
 
-def _parse_value(text: str, want: type, errors: list[str], lineno: int, key: str):
-    if want is bool:
-        if text in ("true", "false"):
-            return text == "true"
-        errors.append(f"line {lineno}: {key} must be true or false, got {text!r}")
-        return None
-    if want is str:
-        if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-            return text[1:-1]
-        errors.append(f"line {lineno}: {key} must be a double-quoted string, got {text!r}")
-        return None
-    if want is int:
-        if _INT_RE.match(text):
-            return int(text)
-        errors.append(f"line {lineno}: {key} must be an integer, got {text!r}")
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        errors.append(f"line {lineno}: {key} must be a number, got {text!r}")
-        return None
+def _read_literal(text: str):
+    if text in ("true", "false"):
+        return text == "true"
+    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
+        return text[1:-1]
+    for read in (int, float):  # int: 4_300 digits at most, and float takes the rest
+        with contextlib.suppress(ValueError):
+            return read(text)
+    return None
 
 
 def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
@@ -106,10 +94,14 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
         if key in sections[current]:
             errors.append(f"line {lineno}: duplicate key {key!r} in section [{current}]")
             continue
-        value = _parse_value(value_text.strip(), schema[key][0], errors, lineno, key)
-        if value is not None:
-            sections[current][key] = value
-            key_lines[f"{current}.{key}"] = lineno
+        value = _read_literal(value_text)  # the stripped line leaves it no outer space
+        if value is None:
+            errors.append(f'line {lineno}: {key} = {value_text}: not true, false, a number or a "string"')
+            continue
+        if type(value) is int and schema[key][0] is float:  # written as the float it stands for
+            value = float(value_text)
+        sections[current][key] = value
+        key_lines[f"{current}.{key}"] = lineno
 
     for name, section in _SECTIONS.items():
         if section.required and name not in sections:

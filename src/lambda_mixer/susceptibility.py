@@ -15,7 +15,7 @@ close to :func:`effective_depth`.
 
 from __future__ import annotations
 
-from .errors import SingularityError, ValidationError, Violation
+from .errors import SingularityError
 from .model import RamanAbsorber, _is_array
 
 
@@ -37,8 +37,6 @@ def chi_abs(absorber: RamanAbsorber, delta_2_probe: float) -> complex:
     array: a vanishing denominator then leaves a non-finite value at that
     point, where a scalar raises SingularityError.
     """
-    if absorber.delta_2 == 0:
-        raise ValidationError([Violation("delta_2", 0.0, "must be nonzero")])
     num = absorber.omega_a**2 / complex(absorber.delta_2, absorber.gamma_ac)
     den = (
         (delta_2_probe + complex(absorber.delta_2, -absorber.gamma_ab))

@@ -440,9 +440,9 @@ class TestScanCommands:
 
 
 # SHA-256 of the CSV and of the SVG that `COMMAND --scenario NAME --out o.csv --svg`
-# writes, recorded with numpy 2.4 on x86-64 when the sweeps still returned lists of
-# records.  numpy builds that round their transcendental kernels differently would
-# change the last digits, and with them these digests.
+# writes, recorded with numpy 2.4 on x86-64.  numpy builds that round their
+# transcendental kernels differently would change the last digits, and with them
+# these digests.
 GOLDEN = {
     ("scan-detuning", "fig2_default"): (
         "9fddb87f1bd4523af1f2fdc1e278898755d17761510848a4a83ed0c2582b9b19",
@@ -496,7 +496,9 @@ GOLDEN = {
 
 
 class TestGoldenBytes:
-    @pytest.mark.parametrize("command, name", sorted(GOLDEN), ids="-".join)
+    @pytest.mark.parametrize(
+        "command, name", sorted(GOLDEN), ids=[f"{command}-{name}" for command, name in sorted(GOLDEN)]
+    )
     def test_csv_svg_and_stdout_bytes(self, tmp_path, capsys, command, name):
         out = tmp_path / "o.csv"
         assert main([command, "--scenario", name, "--out", str(out), "--svg"]) == EXIT_OK
@@ -597,6 +599,17 @@ class TestDesign:
         assert code == EXIT_DESIGN_FAIL
         parsed = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert parsed[key] == "inf"
+
+    def test_stokes_width_beyond_the_double_range_is_a_failed_check(self, tmp_path, capsys):
+        # omega_c**2 overflows a double: exit 2 with "numerical overflow", naming no field
+        scenario = shipped_with(tmp_path, "sec5_proposed_mix", "omega_c = 50.0", "omega_c = 1e200")
+        assert main(["design", "--scenario", str(scenario)]) == EXIT_DESIGN_FAIL
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "vs Stokes inf MHz  [FAIL]" in captured.out
+        assert main(["design", "--scenario", str(scenario), "--json"]) == EXIT_DESIGN_FAIL
+        parsed = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert parsed["bandwidth_rhs"] == "inf" and parsed["bandwidth_ok"] is False
 
 
 class TestNoise:

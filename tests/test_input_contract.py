@@ -1,4 +1,4 @@
-"""The input contract as a property of the command line.
+"""The input contract as a property of the command line and of the library.
 
 Every scenario a file can hold, once past validation, either gives finite,
 meaningful output or fails early with a clear exit code, whichever command
@@ -11,6 +11,11 @@ sweeps, renderers and design formulas.
 
 Runtime bound: MAX_EXAMPLES examples, each running the five command forms on
 at most MAX_POINTS sweep points, take about 3 s on a 2-vCPU x86-64 VM.
+
+A scenario built in code holds what no file can: None, bools, numpy scalars
+and strings in any field.  The sweeps and full_report validate what they are
+given, so each call either raises ValidationError or DomainError naming a
+field, or returns finite output.  CODE_EXAMPLES examples take about 1 s.
 """
 
 import contextlib
@@ -20,12 +25,24 @@ import math
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from lambda_mixer.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from lambda_mixer.model import Scenario, field_specs
+from lambda_mixer.design import full_report
+from lambda_mixer.errors import DomainError, ValidationError
+from lambda_mixer.model import (
+    EitMedium,
+    RamanAbsorber,
+    ScanOptions,
+    Scenario,
+    SweepSpec,
+    field_specs,
+)
+from lambda_mixer.scan import sweep_absorber_depth, sweep_detuning
 from lambda_mixer.scenario import load_scenario, resolve_scenario_path
 
 MAX_EXAMPLES = 100
@@ -209,3 +226,106 @@ def test_every_command_gives_finite_output_or_a_clean_exit(text):
         scenario.write_text(text)
         for form in FORMS:
             check_form(form, scenario)
+
+
+# ---- the same contract for scenarios built in code ----
+
+CODE_EXAMPLES = 150
+SMALL_DEPTHS = SweepSpec(axis="absorber-depth", start=0.0, stop=10.0, points=3)
+SECTIONS = {section.name: section for section in field_specs(Scenario)}
+FIELDS = set(SECTIONS) | {
+    f"{name}.{spec.name}" for name, section in SECTIONS.items() for spec in field_specs(section.type)
+}
+# a field or section as a DomainError names it: sweep.points, omega_c, absorber
+NAMED = re.compile(r"\b(?:{})\b".format("|".join(sorted({f.split(".")[-1] for f in FIELDS}))))
+
+
+def code_values(section: str, spec):
+    """A value for one field: any the file property draws, or one no file can hold."""
+    return st.one_of(
+        field_values(section, spec),
+        st.sampled_from([None, True, False, np.True_, "1", "linear", "absorber-depth"]),
+        st.floats(),  # nan and the infinities too
+        st.floats().map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.integers(),
+        st.integers(-5, 50).map(np.int64),
+    )
+
+
+@st.composite
+def code_scenarios(draw) -> Scenario:
+    """A shipped scenario with some fields, or whole sections, replaced in code.
+
+    Each field is replaced with chance 1/8.  A section is replaced by None, or
+    by an object of another type, with chance 1/32 each.
+    """
+    base = draw(st.sampled_from(SHIPPED))
+    sections = {}
+    for name, section in SECTIONS.items():
+        obj = getattr(base, name)
+        if obj is None and draw(st.booleans()):
+            obj = {"absorber": SHIPPED[0].absorber, "sweep": SMALL_DEPTHS}[name]
+        if obj is not None:
+            changes = {
+                spec.name: draw(code_values(name, spec))
+                for spec in field_specs(section.type)
+                if one_in(draw, 8)
+            }
+            obj = replace(obj, **changes)
+        if one_in(draw, 32):
+            obj = None
+        elif one_in(draw, 32):
+            obj = draw(st.sampled_from([base.eit, ScanOptions(), SMALL_DEPTHS, "eit"]))
+        sections[name] = obj
+    return Scenario(**sections)
+
+
+def check_call(call, scenario: Scenario):
+    """The call's output, or None where it raised a clear error naming a field."""
+    try:
+        return call(scenario)
+    except ValidationError as err:
+        assert err.violations and {v.field for v in err.violations} <= FIELDS, err.violations
+    except DomainError as err:
+        assert NAMED.search(str(err)), str(err)
+    except OverflowError:
+        pass  # the CLI's exit 2; these messages name no field (see CHANGES.md)
+    return None
+
+
+@settings(max_examples=CODE_EXAMPLES, deadline=None)
+@given(code_scenarios())
+# the defects of sweeps that did not validate: a misleading DomainError, a
+# bare ValueError, a TypeError, and a clean sweep of a medium with gamma_gs > gamma_ge
+@example(Scenario(eit=EitMedium(-50.0, 0.064, 3036.0, 50.0, 15.0)))
+@example(Scenario(eit=EitMedium(300.0, 0.064, 3036.0, 50.0, -3.0)))
+@example(Scenario(eit=EitMedium(300.0, 0.064, 3036.0, None, 15.0)))
+@example(Scenario(eit=EitMedium(300.0, 1e9, 3036.0, 50.0, 15.0)))
+# a wrongly typed option: "no" applied the light shift without a word
+@example(
+    Scenario(
+        eit=EitMedium(300.0, 0.064, 3036.0, 50.0, 15.0),
+        absorber=RamanAbsorber(5000.0, 10000.0, 300.0, 300.0, 0.064, 85.0),
+        options=ScanOptions(stokes_seed="1", apply_light_shift="no"),
+    )
+)
+def test_library_calls_validate_what_they_are_given(scenario):
+    # a numpy scalar in a field computes as numpy does: where a Python float raises
+    # OverflowError it warns, and gives inf or nan (see CHANGES.md)
+    sections = [obj for obj in scenario.__dict__.values() if hasattr(obj, "__dict__")]
+    numpy_math = any(isinstance(v, np.generic) for obj in sections for v in obj.__dict__.values())
+    with np.errstate(all="ignore") if numpy_math else contextlib.nullcontext():
+        sweeps = [check_call(sweep_detuning, scenario), check_call(depth_scan, scenario)]
+        report = check_call(full_report, scenario)
+    for sweep in (s for s in sweeps if s is not None):
+        assert all(np.isfinite(column).all() for column in sweep.columns[:-1])
+        assert sweep.flagged.dtype == bool
+    if report is not None and not numpy_math:
+        values = [v for v in report.__dict__.values() if not isinstance(v, bool)]
+        assert not any(math.isnan(v) for v in values)
+        assert not report.overall or all(map(math.isfinite, values))
+
+
+def depth_scan(scenario: Scenario):
+    return sweep_absorber_depth(scenario, SMALL_DEPTHS)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lambda_mixer import scan
-from lambda_mixer.errors import DomainError, SingularityError
+from lambda_mixer.errors import DomainError, SingularityError, ValidationError
 from lambda_mixer.model import EitMedium, RamanAbsorber, ScanOptions, Scenario, SweepSpec
 from lambda_mixer.propagation import _series, coupling_entries, expm2
 from lambda_mixer.scan import (
@@ -26,6 +26,18 @@ from lambda_mixer.scan import (
     sweep_detuning,
 )
 from lambda_mixer.scenario import load_scenario
+
+
+def kernel_sweep(scenario, spec):
+    """sweep_detuning below its validation, for media that reach singular kernel points.
+
+    gamma_ge = 0 puts poles at delta = +-omega_c: validation rejects such a medium,
+    and the kernel must still flag those points and carry on.
+    """
+    profile, depth = absorber_loss_profile(scenario)
+    grid, seed = spec.grid(), scenario.options.stokes_seed
+    values, flagged = next(scan._row_groups(scenario.eit, profile, grid, np.array([depth]), seed))
+    return Sweep(grid, *values[:, 0], flagged[0])
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +135,9 @@ class TestDetuningSweep:
         eit = EitMedium(gamma_ge=0.0, gamma_gs=0.0, delta_control=3036.0, omega_c=50.0, depth=5.0)
         scenario = Scenario(eit=eit)
         spec = SweepSpec(axis="two-photon-detuning", start=-50.0, stop=50.0, points=3)
-        records = sweep_detuning(scenario, spec)
+        with pytest.raises(ValidationError, match="eit.gamma_ge = 0.0: must be positive"):
+            sweep_detuning(scenario, spec)
+        records = kernel_sweep(scenario, spec)
         assert [r.flagged for r in records] == [True, False, True]
 
     def test_overflow_points_flagged(self):
@@ -180,7 +194,7 @@ class TestScalarReference:
         eit, start, stop, points = self.CASES[case]
         scenario = Scenario(eit=eit, options=ScanOptions(stokes_seed=0.5))
         spec = SweepSpec(axis="two-photon-detuning", start=start, stop=stop, points=points)
-        records = sweep_detuning(scenario, spec)
+        records = (kernel_sweep if case.startswith("singular") else sweep_detuning)(scenario, spec)
         profile, depth = absorber_loss_profile(scenario)
         for r in records:
             want = scalar_point(eit, profile(r.axis_value), depth, 0.5, r.axis_value)
@@ -497,9 +511,12 @@ def sweep_case(medium, absorber, exact, seed, kind, points, start, stop, depths)
     options = ScanOptions(stokes_seed=seed, exact_absorber=exact)
     scenario = Scenario(eit=MEDIA[medium], absorber=ABSORBERS[absorber], options=options)
     detunings = SweepSpec(axis="two-photon-detuning", start=start, stop=stop, points=points)
+    singular = medium == "singular"  # below validation, which rejects gamma_ge = 0
     if kind == "detuning":
-        return sweep_detuning(scenario, detunings)
+        return (kernel_sweep if singular else sweep_detuning)(scenario, detunings)
     spec = SweepSpec(axis="absorber-depth", start=0.0, stop=float(depths), points=depths)
+    if singular:
+        return scan._depth_scan(scenario, spec.grid(), detunings)
     return sweep_absorber_depth(scenario, spec, inner_spec=detunings)
 
 

@@ -89,14 +89,26 @@ class TestParsing:
         assert any("duplicate key 'omega_c'" in e for e in err.value.errors)
 
     def test_bad_value_types(self):
-        text = GOOD.replace("points = 401", "points = 401.5").replace(
-            'axis = "two-photon-detuning"', "axis = detuning"
-        )
+        # the parser reads literals; the model decides which type a key takes
         with pytest.raises(ScenarioFileError) as err:
-            parse_scenario_text(text)
-        joined = "\n".join(err.value.errors)
-        assert "points must be an integer" in joined
-        assert "axis must be a double-quoted string" in joined
+            parse_scenario_text(GOOD.replace("points = 401", "points = 401.5"))
+        assert err.value.errors == ["line 20: sweep.points = 401.5: must be an integer"]
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(GOOD.replace('axis = "two-photon-detuning"', "axis = detuning"))
+        assert err.value.errors == [
+            'line 17: axis = detuning: not true, false, a number or a "string"',
+            "section [sweep] is missing required key 'axis'",
+        ]
+
+    def test_integer_literal_in_a_float_field_is_a_float(self):
+        # as the sidecar JSON prints it: depth = 15 is 15.0
+        scenario = parse_scenario_text(GOOD.replace("depth = 15.0", "depth = 15"))
+        assert type(scenario.eit.depth) is float and scenario.eit.depth == 15.0
+        assert type(scenario.sweep.points) is int
+        # past int()'s 4,300 digits a literal is read as a float
+        with pytest.raises(ScenarioFileError) as err:
+            parse_scenario_text(GOOD.replace("depth = 15.0", "depth = 1" + "0" * 5000))
+        assert err.value.errors == ["line 7: eit.depth = inf: must be finite"]
 
     def test_key_outside_section(self):
         with pytest.raises(ScenarioFileError) as err:
@@ -122,7 +134,7 @@ class TestParsing:
             parse_scenario_text(text)
         joined = "\n".join(err.value.errors)
         assert "mystery" in joined
-        assert "omega_c must be a number" in joined
+        assert 'omega_c = fifty: not true, false, a number or a "string"' in joined
 
     def test_semantic_violations_carry_line_numbers(self):
         text = GOOD.replace("gamma_ge = 300.0", "gamma_ge = -300.0")
@@ -153,7 +165,7 @@ class TestParsing:
         text = GOOD.replace('axis = "two-photon-detuning"', 'axis = "two-photon#detuning"')
         with pytest.raises(ScenarioFileError) as err:
             parse_scenario_text(text)
-        assert err.value.errors[0] == "line 17: axis must be a double-quoted string, got '\"two-photon'"
+        assert err.value.errors[0] == 'line 17: axis = "two-photon: not true, false, a number or a "string"'
 
     @pytest.mark.parametrize(
         "old, new, error",
@@ -170,8 +182,8 @@ class TestParsing:
             ),
             (
                 "apply_light_shift = false",
-                "apply_light_shift = yes",
-                "line 24: apply_light_shift must be true or false, got 'yes'",
+                "apply_light_shift = 1",
+                "line 24: options.apply_light_shift = 1: must be true or false",
             ),
             ("delta_a = 14677.0", "delta_a = 14677.0\n[eit]", "line 27: duplicate section [eit]"),
         ],
