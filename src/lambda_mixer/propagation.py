@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,8 +38,6 @@ MATRIX_EXPONENTIAL = "matrix-exponential"
 ADAPTIVE_RK = "adaptive-rk"
 
 _RK_RTOL = 1e-10
-_RK_ATOL = 1e-12
-_RK_LOCK = threading.Lock()
 _SERIES_Q = 1e-3  # |q| at or below which expm2 uses the series
 
 
@@ -110,16 +107,9 @@ def expm2(
     exp(M) = e^mu (cosh(q) I + sinh(q)/q A).  For |q| away from zero the
     cosh/sinh pair is assembled from e^(mu+q) and e^(mu-q), which stays
     finite for strongly dissipative matrices; near q = 0 a series in q^2
-    avoids the 0/0.  Numpy array entries broadcast, through _closed_form on
-    a fresh workspace; scalars go through cmath, several times cheaper per
-    call, and raise OverflowError where arrays produce non-finite values.
+    avoids the 0/0.  Scalars only, through cmath, which raises OverflowError
+    beyond the double range; _closed_form is the array form.
     """
-    entries = (m00, m01, m10, m11)
-    if any(_is_array(m) and m.ndim for m in entries):  # 0-d arrays compute as scalars
-        import numpy as np
-
-        shape = np.broadcast_shapes(*(np.shape(m) for m in entries))
-        return _closed_form(*entries, _workspace(shape, np.result_type(*entries, 0.5)))
     mu = 0.5 * (m00 + m11)
     a = 0.5 * (m00 - m11)  # A = [[a, m01], [m10, -a]]
     q = cmath.sqrt(a * a + m01 * m10)
@@ -131,19 +121,19 @@ def expm2(
     return c + s * a, s * m01, s * m10, c - s * a
 
 
-def _workspace(shape, dtype=complex) -> list:
-    """Buffers for one _closed_form pass over shape: five of dtype, then |q| and the series mask."""
+def _workspace(shape) -> list:
+    """Buffers for one _closed_form pass over shape: five complex, then |q| and the series mask."""
     import numpy as np
 
-    return [np.empty(shape, dtype) for _ in range(5)] + [np.empty(shape), np.empty(shape, bool)]
+    return [np.empty(shape, complex) for _ in range(5)] + [np.empty(shape), np.empty(shape, bool)]
 
 
 def _closed_form(m00, m01, m10, m11, ws) -> tuple:
-    """The array branch of expm2, evaluated into the workspace ws.
+    """The array form of expm2, evaluated into the workspace ws.
 
     ws holds _workspace buffers of the entries' broadcast shape; the entries
     are only read.  Every step is a ufunc writing into ws, with the operands
-    and the order of the scalar branch, so a reused workspace gives the bytes
+    and the order of the scalar expm2, so a reused workspace gives the bytes
     of a fresh one.  Returns t00, t01, t10, t11 as views of ws, which the
     next pass over ws overwrites.
     """
@@ -171,26 +161,39 @@ def _closed_form(m00, m01, m10, m11, ws) -> tuple:
     return t00, np.multiply(s, m01, out=mu), np.multiply(s, m10, out=w), t11
 
 
-def _transfer_adaptive(entries) -> list[complex]:
-    """Row-major entries of exp(M), from one DOP853 pass over dT/dzeta = M T, T(0) = I."""
-    import numpy as np
-    # scipy.integrate is slower to import than the whole package, and only this needs it
-    from scipy.integrate import ode
+def _product(a, b) -> tuple:
+    """Row-major entries of the 2x2 matrix product a b."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11
 
-    k = np.kron(np.reshape(entries, (2, 2)), np.eye(2))  # M T, on the row-major entries of T
-    a = np.block([[k.real, -k.imag], [k.imag, k.real]])  # the same on (Re T, Im T): ode is real
-    a[np.abs(a) < 1e-100] = 0.0  # all rates near 1e-150 stall DOP853; these move T < 1e-100
-    r = ode(lambda _, y: a @ y).set_integrator("dop853", rtol=_RK_RTOL, atol=_RK_ATOL, nsteps=10**6)
-    r.set_initial_value([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    r._integrator.iwork[3] = -1  # NSTIFF < 0: no stiffness test, which strong idler losses trip
-    # a failed pass warns; catch_warnings swaps process-wide filters, so calls take turns
-    with _RK_LOCK, warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.filterwarnings("ignore", category=UserWarning, module=r"scipy\.integrate")
-        y = r.integrate(1.0)
-    if not r.successful():
-        code = r.get_return_code()  # -3: the step size underflowed
-        raise IntegrationError(f"adaptive integration failed (DOP853 code {code})", last_zeta=r.t)
-    return (y[:4] + 1j * y[4:]).tolist()
+
+def _transfer_adaptive(entries) -> list[complex]:
+    """Row-major entries of exp(M): classical RK4 with step doubling on dT/dzeta = M T, T(0) = I.
+
+    2**k steps give (I + E)**(2**k), E = X + X^2/2 + X^3/6 + X^4/24 with X = M / 2**k, by Horner;
+    squared as 2E + E^2, E keeps the small increments that I + E would round away.  k starts at
+    |X| <= 1/4, inside RK4's stability region, and grows until two step counts agree.
+    """
+    norm = sum(abs(m.real) + abs(m.imag) for m in entries)  # at least |M|, and inf where abs raises
+    if not norm <= _RK_RTOL * 2.0**52:  # nan too; beyond, rounding alone can exceed _RK_RTOL
+        raise IntegrationError(f"RK4 cannot resolve generator norm {norm!r} to {_RK_RTOL}", last_zeta=0.0)
+    first = max(0, math.frexp(norm)[1] + 2)  # norm < 2**(first - 2)
+    t = None
+    for k in range(first, first + 41):
+        x = [m / 2**k for m in entries]
+        e = [0.0] * 4  # Horner from the inside: E = X (I + X/2 (I + X/3 (I + X/4 (I + 0))))
+        for j in (4.0, 3.0, 2.0, 1.0):
+            e = [p / j for p in _product(x, (1.0 + e[0], e[1], e[2], 1.0 + e[3]))]
+        for j in range(k):  # the power of 2**(j + 1) steps, at zeta = 2**(j + 1 - k)
+            e = [2.0 * a + b for a, b in zip(e, _product(e, e))]
+            # a finite sum of |Re| + |Im| bounds every |entry|, so abs() below cannot overflow
+            if not math.isfinite(sum(abs(v.real) + abs(v.imag) for v in e)):
+                raise IntegrationError("T left the double range", last_zeta=2.0 ** (j - k))
+        last, t = t, [1.0 + e[0], e[1], e[2], 1.0 + e[3]]
+        if last and max(abs(a - b) for a, b in zip(t, last)) <= _RK_RTOL * max(1.0, *map(abs, t)):
+            return t
+    raise IntegrationError(f"40 step doublings did not agree to {_RK_RTOL}", last_zeta=0.0)
 
 
 def propagate(
@@ -264,15 +267,17 @@ def n_fwm(eit: EitMedium) -> float:
 def noise_suppression_ratio(eit: EitMedium, d_abs: float) -> float:
     """Ratio of noise photons created with the absorber to those without it.
 
-    Raises OverflowError when the ratio is not finite, as for a d_abs so small
-    that depth / d_abs is infinite.
+    Raises OverflowError, naming the medium, where the ratio leaves the double range.
     """
     if not d_abs > 0:
         raise DomainError("d_abs must be positive")
     ratio = eit.gamma_ge / eit.delta_control
     frac = eit.depth / d_abs
-    noise = (frac * ratio) ** 2 * math.exp(-2.0 * eit.depth * ratio * (1.0 - ratio * frac))
+    try:
+        noise = (frac * ratio) ** 2 * math.exp(-2.0 * eit.depth * ratio * (1.0 - ratio * frac))
+    except OverflowError:  # the square or the exponential, where IEEE arithmetic gives inf
+        noise = math.inf
     if not math.isfinite(noise):
-        raise OverflowError(f"noise ratio is {noise!r} at d_abs = {d_abs!r}")
+        raise OverflowError(f"noise ratio is {noise!r} at d_abs = {d_abs!r} in {eit}")
     return noise
 

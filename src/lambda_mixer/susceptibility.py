@@ -21,12 +21,18 @@ from .model import RamanAbsorber, _is_array
 
 def saturation_ratio(absorber: RamanAbsorber) -> float:
     """The dimensionless Raman saturation parameter |omega_a|^2 / delta_2^2."""
-    return (absorber.omega_a / absorber.delta_2) ** 2
+    try:
+        return (absorber.omega_a / absorber.delta_2) ** 2
+    except OverflowError:
+        raise OverflowError(f"(omega_a / delta_2)**2 overflows: {absorber.omega_a=}, {absorber.delta_2=}")
 
 
 def light_shift(absorber: RamanAbsorber) -> float:
     """AC-Stark displacement |omega_a|^2 / delta_2 of the two-photon line center (MHz)."""
-    return absorber.omega_a**2 / absorber.delta_2
+    try:
+        return absorber.omega_a**2 / absorber.delta_2
+    except OverflowError:
+        raise OverflowError(f"omega_a**2 / delta_2 overflows: {absorber.omega_a=}, {absorber.delta_2=}")
 
 
 def chi_abs(absorber: RamanAbsorber, delta_2_probe: float) -> complex:

@@ -694,6 +694,24 @@ class TestInvocation:
         assert "overflow" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", [["design"], ["noise"], ["scan-detuning"]])
+    def test_overflow_names_the_fields(self, tmp_path, capsys, command):
+        # a finite, valid omega_a whose saturation ratio leaves the double range
+        scenario = shipped_with(
+            tmp_path, "sec5_proposed_mix", "omega_a = 103.94469683442248", "omega_a = 1e200"
+        )
+        argv = [*command, "--scenario", str(scenario)]
+        if command[0].startswith("scan-"):
+            argv += ["--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical overflow: (omega_a / delta_2)**2 overflows: "
+            "absorber.omega_a=1e+200, absorber.delta_2=14700.0\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [scenario.name]
+
     @pytest.mark.parametrize(
         "command, old, new",
         [
@@ -717,7 +735,9 @@ class TestInvocation:
         assert "n_fwm" in result.stdout
 
     def test_import_leaves_scipy_integrate_and_signal_unloaded(self):
-        # only method="adaptive-rk" imports scipy.integrate, lazily; no library code uses scipy.signal
+        # no library code imports scipy: the tests use scipy.signal and scipy.linalg as oracles, and
+        # test_runs_with_scipy_unimportable runs the adaptive-RK cross-check, the reports and
+        # every command with any scipy import failing
         code = (
             "import sys, lambda_mixer; "
             "print([m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules])"
@@ -725,6 +745,42 @@ class TestInvocation:
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_runs_with_scipy_unimportable(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail: numpy is the only
+        # runtime dependency, and the cold path and the adaptive-RK cross-check need not even it
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            sys.modules["scipy"] = None
+
+            import lambda_mixer.cli as cli
+            from lambda_mixer import EitMedium, FieldPair, build_coupling_matrix, full_report, propagate
+            from lambda_mixer import load_scenario
+            eit = EitMedium(300.0, 0.064, 3036.0, 50.0, 15.0)
+            cm = build_coupling_matrix(eit, 16.5 + 0.3j, 2.3)
+            propagate(cm, FieldPair(1.0, 0.5j), method="adaptive-rk")
+            full_report(load_scenario("sec5_proposed_mix")[0])
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main([c, "--scenario", "sec5_proposed_mix"]) for c in ("design", "noise")]
+            print(codes, "numpy" in sys.modules)
+            from lambda_mixer import sweep_absorber_depth, sweep_detuning
+            fig2, fig4 = (load_scenario(name)[0] for name in ("fig2_default", "fig4_dabs_4.16"))
+            sweep_detuning(fig4)
+            sweep_absorber_depth(fig2, fig2.sweep)
+            with contextlib.redirect_stdout(io.StringIO()):
+                for command, name in (("scan-detuning", "fig4_dabs_4.16"), ("scan-dabs", "fig2_default")):
+                    out = f"{sys.argv[1]}/{name}.csv"
+                    codes.append(cli.main([command, "--scenario", name, "--out", out, "--json", "--svg"]))
+            print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+            """
+        )
+        result = run_python("-c", code, str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"{[EXIT_DESIGN_FAIL, EXIT_OK]} False",
+            f"{[EXIT_DESIGN_FAIL, EXIT_OK, EXIT_OK, EXIT_OK]} ['scipy']",
+        ]
 
     def test_cold_path_leaves_numpy_unloaded(self):
         # import, validation, design, noise and propagate are closed-form; only the scans need numpy

@@ -14,8 +14,10 @@ at most MAX_POINTS sweep points, take about 3 s on a 2-vCPU x86-64 VM.
 
 A scenario built in code holds what no file can: None, bools, numpy scalars
 and strings in any field.  The sweeps and full_report validate what they are
-given, so each call either raises ValidationError or DomainError naming a
-field, or returns finite output.  CODE_EXAMPLES examples take about 1 s.
+given, so each call either raises ValidationError, DomainError or
+OverflowError naming a field, or returns finite output.  The one exception
+is an OverflowError from the depth scan's peak refinement, which names none.
+CODE_EXAMPLES examples take about 1 s.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lambda_mixer.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
@@ -287,10 +290,11 @@ def check_call(call, scenario: Scenario):
         return call(scenario)
     except ValidationError as err:
         assert err.violations and {v.field for v in err.violations} <= FIELDS, err.violations
-    except DomainError as err:
-        assert NAMED.search(str(err)), str(err)
-    except OverflowError:
-        pass  # the CLI's exit 2; these messages name no field (see CHANGES.md)
+    except (DomainError, OverflowError) as err:  # an OverflowError is the CLI's exit 2
+        # but for the depth scan's peak refinement, which squares past the double range
+        # without naming a field (CHANGES.md FOUND)
+        overflow_allowed = isinstance(err, OverflowError) and call is depth_scan
+        assert overflow_allowed or NAMED.search(str(err)), str(err)
     return None
 
 
@@ -329,3 +333,25 @@ def test_library_calls_validate_what_they_are_given(scenario):
 
 def depth_scan(scenario: Scenario):
     return sweep_absorber_depth(scenario, SMALL_DEPTHS)
+
+
+SEC5 = load_scenario("sec5_proposed_mix")[0]
+
+
+@pytest.mark.parametrize(
+    "section, changes, call, message",
+    [
+        ("absorber", dict(omega_a=1e200), sweep_detuning, "(omega_a / delta_2)**2 overflows"),
+        ("absorber", dict(omega_a=1e200), full_report, "(omega_a / delta_2)**2 overflows"),
+        ("absorber", dict(omega_a=1e200, delta_2=1e200), sweep_detuning, "omega_a**2 / delta_2 overflows"),
+        ("eit", dict(gamma_ge=1e200), full_report, "noise ratio is inf"),
+    ],
+)
+def test_overflow_names_its_fields(section, changes, call, message):
+    # finite values that pass validation, where a power leaves the double range
+    scenario = replace(SEC5, **{section: replace(getattr(SEC5, section), **changes)})
+    with pytest.raises(OverflowError) as err:
+        call(scenario)
+    text = str(err.value)
+    assert text.startswith(message)
+    assert all(f"{name}=" in text and repr(value) in text for name, value in changes.items())

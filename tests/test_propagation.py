@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -21,6 +22,8 @@ from lambda_mixer.model import (
     SweepSpec,
 )
 from lambda_mixer.propagation import (
+    _closed_form,
+    _workspace,
     analytic_resonant_output,
     approx_output_with_absorber,
     build_coupling_matrix,
@@ -35,6 +38,11 @@ from lambda_mixer.scenario import load_scenario
 from lambda_mixer.susceptibility import chi_abs, normalized_lineshape
 
 RNG_SEED = 20240811
+
+
+def closed_form(*entries):
+    """The array kernel of expm2 on a fresh workspace of the entries' broadcast shape."""
+    return _closed_form(*entries, _workspace(np.broadcast_shapes(*map(np.shape, entries))))
 
 
 def lossless_matrix(eit: EitMedium) -> CouplingMatrix:
@@ -154,7 +162,7 @@ class TestBranchDispatch:
         one = np.array([1.0])
         with np.errstate(all="ignore"):
             results = (
-                expm2(1000.0 * one, 0j, 0j, 1.0),
+                closed_form(1000.0 * one, 0j, 0j, 1.0),
                 coupling_entries(SINGULAR_EIT, 0j, one),
                 (chi_abs(SINGULAR_ABSORBER, one),),
             )
@@ -181,19 +189,24 @@ _real = st.floats(-30.0, 30.0)
 
 
 class TestArrayKernels:
-    """The broadcasting branch of the kernels against their scalar (cmath) branch."""
+    """The broadcasting kernels against their scalar (cmath) branch."""
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(_entry, _entry, _entry, _entry), min_size=1, max_size=40))
     def test_expm2_lossy(self, matrices):
-        assert_columns_match_scalar(expm2(*np.array(matrices).T), expm2, matrices)
+        assert_columns_match_scalar(closed_form(*np.array(matrices).T), expm2, matrices)
+
+    def test_expm2_of_real_arrays(self):
+        # the workspace is complex whatever the entries' dtype: q**2 = -1 gives cos 1 and sin 1
+        got = closed_form(*map(np.array, ([0.0], [1.0], [-1.0], [0.0])))
+        assert_columns_match_scalar(got, expm2, [(0.0, 1.0, -1.0, 0.0)])
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(_real, _real), min_size=1, max_size=40))
     def test_expm2_lossless(self, params):
         # traceless Bogoliubov generators: q is real or imaginary, through zero
         matrices = [(1j * a, 1j * th, -1j * th, -1j * a) for a, th in params]
-        assert_columns_match_scalar(expm2(*np.array(matrices).T), expm2, matrices)
+        assert_columns_match_scalar(closed_form(*np.array(matrices).T), expm2, matrices)
 
     @settings(deadline=None)
     @given(
@@ -216,7 +229,7 @@ class TestArrayKernels:
             q = cmath.rect(r, phase)
             a = q * t
             matrices.append((mu + a, b, q * q * (1.0 - t * t) / b, mu - a))
-        assert_columns_match_scalar(expm2(*np.array(matrices).T), expm2, matrices)
+        assert_columns_match_scalar(closed_form(*np.array(matrices).T), expm2, matrices)
 
     @settings(deadline=None)
     @given(
@@ -277,18 +290,18 @@ def mp_expm(m):
 
 
 def assert_matches_mpmath(matrices):
-    """Both expm2 branches against a 40-digit mpmath exponential of each (m00, m01, m10, m11).
+    """expm2 and its array kernel against a 40-digit mpmath exponential of each (m00, m01, m10, m11).
 
     Error at most 1e-12 of the largest exact entry, and at most 1e-12 relative
     on every entry that is at least 1e-3 of it; smaller entries, down to the
     exp(-2 D) underflow scale, are held to the absolute bound only.  Where an
     exact entry lies beyond the double range, the scalar branch must raise
-    OverflowError and the array branch must give a non-finite entry.
+    OverflowError and the array kernel must give a non-finite entry.
     """
     import mpmath
 
     with np.errstate(all="ignore"):  # entries beyond the double range are checked below
-        array = np.array(np.broadcast_arrays(*expm2(*np.array(matrices).T)))
+        array = np.array(np.broadcast_arrays(*closed_form(*np.array(matrices).T)))
     with mpmath.workdps(40):
         for j, m in enumerate(matrices):
             want = np.array([complex(x) for x in mp_expm(m)])
@@ -425,24 +438,8 @@ class TestPropagate:
         assert out == want_out
         assert np.array_equal(transfer.t, want_transfer.t)
 
-    def test_adaptive_rk_integrates_once(self, sec5_eit, monkeypatch):
-        # the whole transfer matrix, as Re T and Im T, in one compiled DOP853 pass
-        import scipy.integrate
-
-        states = []
-        integrate = scipy.integrate.ode.integrate
-        monkeypatch.setattr(
-            scipy.integrate.ode,
-            "integrate",
-            lambda self, *a, **k: states.append(self.y.size) or integrate(self, *a, **k),
-        )
-        cm = build_coupling_matrix(sec5_eit, 1.5 + 0.4j, delta=2.3)
-        propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
-        assert states == [8]
-
     def test_adaptive_rk_threads_match_serial_calls(self, sec5_eit):
-        # concurrent calls give the serial entries, and leave the warning
-        # filters, which each call swaps while it runs, as they were
+        # concurrent calls give the serial entries, and leave the warning filters as they were
         matrices = [
             build_coupling_matrix(replace(sec5_eit, depth=d), complex(3.0 * d, d), 0.7 * d)
             for d in range(1, 7)
@@ -498,28 +495,29 @@ class TestPropagate:
         assert 0.0 < err.value.last_zeta < 1.0
 
     def test_adaptive_rk_with_every_rate_near_1e_150(self):
-        # DOP853's step control stalls at zeta = 0 (code -3) when every rate of the
-        # system is between ~1e-155 and ~1e-149; such rates leave T = I in doubles
+        # rates between ~1e-155 and ~1e-149 leave T = I in doubles; a step control can stall on them
         cm = build_coupling_matrix(EitMedium(100.0, 0.0, -1.0, 1.0, 0.0), 8.7e-150 + 0j, 0.0)
         transfer = propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")[1]
         assert transfer.entries == propagate(cm, FieldPair(1.0, 0.0))[1].entries == (1, 0, 0, 1)
 
     @pytest.mark.parametrize("g, overflows", [(214.0, True), (212.0, False)])
     def test_idler_gain_at_the_double_range(self, g, overflows):
-        # m11 = depth * g**2 = 715.6 and 702.2; exp overflows a double above ~709.8, and
-        # DOP853 gives up on both as its error estimates overflow first
+        # m11 = depth * g**2 = 715.6 and 702.2; exp overflows a double above ~709.8
         eit = EitMedium(gamma_ge=g, gamma_gs=0.0, delta_control=-1.0, omega_c=1.0, depth=0.015625)
         cm = build_coupling_matrix(eit, 0j, 0.0)
         if overflows:
             with pytest.raises(OverflowError):
                 expm2(*cm.entries)
+            with pytest.raises(IntegrationError):
+                propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
         else:
-            assert all(cmath.isfinite(t) for t in expm2(*cm.entries))
-        with pytest.raises(IntegrationError):
-            propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
+            want = expm2(*cm.entries)
+            assert all(cmath.isfinite(t) for t in want)
+            got = propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")[1].entries
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8 * max(map(abs, want))
 
     def test_integration_failure_raises_without_warnings(self):
-        # strongly amplifying generator: DOP853 overflows before it gives up
+        # strongly amplifying generator: T overflows before zeta = 1
         cm = build_coupling_matrix(EitMedium(300.0, 0.0, 8.0, 50.0, 20.0), 0j, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -527,26 +525,40 @@ class TestPropagate:
                 propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
 
     def test_integration_failure_under_raising_float_errors(self):
-        # the overflow that ends the pass is DOP853's to report, whatever np.seterr says
+        # the overflow that ends the pass is reported as IntegrationError, whatever np.seterr says
         cm = build_coupling_matrix(EitMedium(300.0, 0.0, 8.0, 50.0, 20.0), 0j, 0.0)
         with np.errstate(all="raise"), pytest.raises(IntegrationError):
             propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
 
-    def test_adaptive_rk_hides_only_scipy_integrate_warnings(self, sec5_eit, monkeypatch):
-        import scipy.integrate
+    @pytest.mark.parametrize("phase", [0.5, 0.785398, 2.3])
+    def test_integration_failure_past_the_double_range_in_modulus(self, phase):
+        # |exp(m00)| just above the largest double: T's real and imaginary parts are finite,
+        # and abs() of such an entry raises a bare OverflowError
+        cm = CouplingMatrix(m=[[complex(709.783, phase), 0j], [0j, 0j]], delta=0.0)
+        with pytest.raises(IntegrationError) as err:
+            propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
+        assert 0.0 < err.value.last_zeta < 1.0
 
-        integrate = scipy.integrate.ode.integrate
-
-        def integrate_warning(self, *args, **kwargs):
-            warnings.warn("raised during the pass", UserWarning)
-            return integrate(self, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate.ode, "integrate", integrate_warning)
-        with pytest.warns(UserWarning, match="raised during the pass"):
-            propagate(build_coupling_matrix(sec5_eit), FieldPair(1.0, 0.0), method="adaptive-rk")
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[math.nan, 0.0], [0.0, 0.0]],
+            [[0.0, 1j], [-1j, complex(0.0, math.inf)]],
+            [[0.0, 1e300j], [-1e300j, 0.0]],  # exp(M) overflows
+            [[0.0, 1e300j], [1e300j, 0.0]],  # exp(M) is finite, but rounding loses its phase
+            [[0.0, 1e9j], [1e9j, 0.0]],  # two step counts agree on T = 0, RK4's damping
+        ],
+    )
+    def test_adaptive_rk_rejects_what_it_cannot_resolve(self, m):
+        cm = CouplingMatrix(m=m, delta=0.0)
+        start = time.perf_counter()
+        with pytest.raises(IntegrationError) as err:
+            propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")
+        assert time.perf_counter() - start < 0.1
+        assert err.value.last_zeta == 0.0
 
     def test_adaptive_rk_with_a_strong_idler_loss(self, sec5_eit):
-        # DOP853's stiffness test, which is off, gives up above a real loss of ~6,500 here
+        # a stiff idler: a stiffness test would give up above a real loss of ~6,500 here
         cm = build_coupling_matrix(sec5_eit, 1e4 + 0j, 2.3)
         transfer = propagate(cm, FieldPair(1.0, 0.0), method="adaptive-rk")[1]
         assert max(abs(a - b) for a, b in zip(transfer.entries, expm2(*cm.entries))) <= 1e-8
