@@ -24,7 +24,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .design import full_report
@@ -112,15 +112,16 @@ def _run_record(command: str, scenario: Scenario, sweep: Sweep) -> dict:
     }
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it.
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` through a temporary file beside it.
 
-    A write that fails leaves ``path`` as it was and removes the temporary file.
+    A write that fails, or a chunk that raises, leaves ``path`` as it was and
+    removes the temporary file.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as f:  # created with the mode write_text gives
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -167,6 +168,15 @@ _SCANS = {
 }
 
 
+def _csv_chunks(header: str, blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
+    """The CSV text: the header line, then one chunk per nonempty block of rows."""
+    yield header + "\n"
+    for rows in blocks:
+        # repr() of a Python float: shortest round-trip form, '.' decimal point,
+        # lowercase 'e', locale-independent.
+        yield "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+
+
 def _cmd_scan(args) -> int:
     # imported here: the sweep engine loads numpy, which design and noise never need
     from . import scan, svgplot
@@ -181,20 +191,17 @@ def _cmd_scan(args) -> int:
     spec = sweep if sweep and sweep.axis == axis else default_spec
     # looked up per call, so a rebinding of the scan or svgplot function is honoured
     result = getattr(scan, sweeper)(scenario, spec)
-    columns = [column.tolist() for column in attrgetter(*names)(result)]
-    # repr() of a Python float: shortest round-trip form, '.' decimal point,
-    # lowercase 'e', locale-independent.
-    csv_text = "\n".join([header, *(",".join(map(repr, row)) for row in zip(*columns))]) + "\n"
+    csv_chunks = _csv_chunks(header, scan.row_blocks(attrgetter(*names)(result)))
     if paths:
-        _write_atomic(paths[0], csv_text)
+        _write_atomic(paths[0], csv_chunks)
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.writelines(csv_chunks)
     for path in paths[1:]:
         if path.suffix == ".json":
             text = _json_text(_run_record(args.command, scenario, result)) + "\n"
         else:
             text = getattr(svgplot, renderer)(result)
-        _write_atomic(path, text)
+        _write_atomic(path, (text,))
     flagged = result.axis_value[result.flagged].tolist()
     if flagged:
         print(

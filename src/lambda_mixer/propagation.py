@@ -260,8 +260,17 @@ def approx_output_with_absorber(eit: EitMedium, d_abs: float, fields: FieldPair)
 
 
 def n_fwm(eit: EitMedium) -> float:
-    """Expected noise-photon number generated without an absorber."""
-    return math.sinh(eit.depth * eit.gamma_ge / eit.delta_control) ** 2
+    """Expected noise-photon number generated without an absorber.
+
+    Raises OverflowError, naming the medium, where the number leaves the double range.
+    """
+    try:
+        fwm = math.sinh(eit.depth * eit.gamma_ge / eit.delta_control) ** 2
+    except OverflowError:  # sinh or its square, where IEEE arithmetic gives inf
+        fwm = math.inf
+    if not math.isfinite(fwm):
+        raise OverflowError(f"n_fwm = sinh(depth * gamma_ge / delta_control)**2 is {fwm!r} in {eit}")
+    return fwm
 
 
 def noise_suppression_ratio(eit: EitMedium, d_abs: float) -> float:

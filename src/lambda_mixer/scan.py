@@ -11,7 +11,11 @@ denominator or an overflow) is flagged and zeroed.
 
 A sweep returns a Sweep: a sequence of SpectrumRecord built on demand from
 six read-only numpy columns, which it also exposes by name and as .columns.
-A depth scan refines the peaks of all its rows in one array pass.
+Iterating a Sweep, like the command line's CSV writer, reads the columns out
+as Python values BLOCK rows at a time (row_blocks), so its transient memory
+is one block of rows, ~0.7 MB, whatever the grid size; the JSON sidecar and
+the SVG still hold the whole sweep.  A depth scan refines the peaks of all
+its rows in one array pass.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from __future__ import annotations
 import math
 import operator
 from functools import partial
-from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,13 +60,24 @@ class SpectrumRecord(NamedTuple):
     flagged: bool = False
 
 
+def row_blocks(columns: Sequence[np.ndarray]) -> Iterator[Iterable[tuple]]:
+    """The rows of equal-length columns as tuples of Python values, BLOCK rows per block.
+
+    Yields one iterable of rows per block, read out of the columns as it is
+    reached, so at most one block of rows exists as Python objects at a time.
+    """
+    for i in range(0, len(columns[0]), BLOCK):
+        yield zip(*(column[i : i + BLOCK].tolist() for column in columns))
+
+
 class Sweep(Sequence[SpectrumRecord]):
     """The result of a sweep: one read-only numpy column per SpectrumRecord field.
 
     The columns are attributes named after the fields, and .columns in field
     order.  As a sequence it holds one SpectrumRecord per grid point, built
-    when indexed or iterated; no record is kept.  A slice is a Sweep over
-    views of the columns.  It compares equal to a Sweep with equal columns.
+    when indexed or iterated (BLOCK rows at a time); no record is kept.  A
+    slice is a Sweep over views of the columns.  It compares equal to a
+    Sweep with equal columns.
     """
 
     __slots__ = SpectrumRecord._fields
@@ -87,7 +102,7 @@ class Sweep(Sequence[SpectrumRecord]):
 
     def __iter__(self) -> Iterator[SpectrumRecord]:
         # SpectrumRecord._make without its Python-level call per record
-        rows = zip(*(column.tolist() for column in self.columns))
+        rows = chain.from_iterable(row_blocks(self.columns))
         return map(tuple.__new__, repeat(SpectrumRecord), rows)
 
     def __eq__(self, other):
@@ -274,7 +289,11 @@ def _row_peaks(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
 
 
 def _depth_scan(scenario: Scenario, depths: np.ndarray, inner_spec: Optional[SweepSpec]) -> Sweep:
-    """Peak outputs at each of the nonnegative effective absorber depths."""
+    """Peak outputs at each of the nonnegative effective absorber depths.
+
+    Raises OverflowError, naming the first such depth and the medium, where
+    a row's peak refinement leaves the double range.
+    """
     inner_spec = inner_spec or default_detuning_spec(scenario.eit)
     profile, _ = absorber_loss_profile(scenario)
     if profile is _no_loss and np.any(depths != 0.0):
@@ -283,10 +302,20 @@ def _depth_scan(scenario: Scenario, depths: np.ndarray, inner_spec: Optional[Swe
             "with a derivable line shape"
         )
     inner, seed = inner_spec.grid(), scenario.options.stokes_seed
-    groups = [
-        (_row_peaks(values, flagged), flagged.any(axis=1))
-        for values, flagged in _row_groups(scenario.eit, profile, inner, depths, seed)
-    ]
+    groups = []
+    for values, flagged in _row_groups(scenario.eit, profile, inner, depths, seed):
+        try:
+            groups.append((_row_peaks(values, flagged), flagged.any(axis=1)))
+        except OverflowError:  # a squared difference past the double range: find its row
+            done = sum(len(group[1]) for group in groups)
+            for k, d_abs in enumerate(depths[done : done + len(flagged)].tolist()):
+                try:
+                    _row_peaks(values[:, k : k + 1], flagged[k : k + 1])
+                except OverflowError:
+                    raise OverflowError(
+                        f"peak refinement overflows at d_abs = {d_abs!r} in {scenario.eit}"
+                    ) from None
+            raise
     peaks, flagged = (np.concatenate(parts, axis=-1) for parts in zip(*groups))
     return Sweep(depths, *peaks, flagged)
 

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
@@ -23,11 +24,12 @@ from lambda_mixer.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    _write_atomic,
     main,
 )
 from lambda_mixer.design import full_report
 from lambda_mixer.model import validate
-from lambda_mixer.scan import default_detuning_spec, sweep_absorber_depth, sweep_detuning
+from lambda_mixer.scan import BLOCK, default_detuning_spec, sweep_absorber_depth, sweep_detuning
 from lambda_mixer.scenario import load_scenario, resolve_scenario_path, scenario_search_dirs
 
 
@@ -510,7 +512,65 @@ class TestGoldenBytes:
         assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in files) == GOLDEN[command, name]
 
 
+def with_sweep(tmp_path, points):
+    """fig4_dabs_4.16 with a detuning [sweep] section of ``points`` points; return its path."""
+    path = tmp_path / f"fig4_{points}.toml"
+    path.write_text(
+        resolve_scenario_path("fig4_dabs_4.16").read_text()
+        + f'\n[sweep]\naxis = "two-photon-detuning"\nstart = -4000.0\nstop = 4000.0\npoints = {points}\n'
+    )
+    return path
+
+
+def one_shot_csv(sweep) -> str:
+    """The CSV text formatted in one pass over whole columns, as scan commands once wrote it."""
+    columns = [c.tolist() for c in sweep.columns[:5]]
+    rows = (",".join(map(repr, row)) for row in zip(*columns))
+    return "\n".join([DETUNING_CSV_HEADER, *rows]) + "\n"
+
+
+class TestStreamedCsv:
+    """Scan commands write their CSV BLOCK rows at a time, with the bytes of one pass."""
+
+    @pytest.mark.parametrize("points", [2 * BLOCK + 1, 100_000])
+    def test_out_and_stdout_bytes_equal_one_shot_formatting(self, tmp_path, capsys, points):
+        scenario = with_sweep(tmp_path, points)
+        loaded = load_scenario(scenario)[0]
+        want = one_shot_csv(sweep_detuning(loaded, loaded.sweep)).encode()
+        out = tmp_path / "o.csv"
+        assert main(["scan-detuning", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == want
+        assert main(["scan-detuning", "--scenario", str(scenario)]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == want
+        assert want.count(b"\n") == points + 1 and want.endswith(b"\n")
+
+    def test_large_scan_holds_one_block_of_rows(self, tmp_path):
+        # one pass over whole columns peaked at ~46 MB (tracemalloc); the columns hold 4.8 MB
+        scenario = with_sweep(tmp_path, 100_000)
+        argv = ["scan-detuning", "--scenario", str(scenario), "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_OK  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
 class TestAtomicWrites:
+    def test_chunk_that_raises_leaves_old_file(self, tmp_path):
+        def chunks():
+            yield "new "
+            raise RuntimeError("chunk failed")
+
+        out = tmp_path / "scan.csv"
+        out.write_text("old csv")
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _write_atomic(out, chunks())
+        assert out.read_text() == "old csv"
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
     def test_failed_render_leaves_old_svg(self, tmp_path, monkeypatch):
         # a lone surrogate cannot be encoded, so the write fails after the file is opened
         from lambda_mixer import svgplot
@@ -693,6 +753,19 @@ class TestInvocation:
         assert len(result.stderr.splitlines()) == 1
         assert "overflow" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_overflowing_n_fwm_names_the_medium(self, tmp_path, capsys):
+        # sinh(15 * 300 / 3) leaves the double range
+        scenario = shipped_with(
+            tmp_path, "sec5_proposed_mix", "delta_control = 3036.0", "delta_control = 3.0"
+        )
+        assert main(["noise", "--scenario", str(scenario)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "numerical overflow: n_fwm = sinh(depth * gamma_ge / delta_control)**2 is inf in EitMedium("
+        )
+        assert "delta_control=3.0" in captured.err and len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", [["design"], ["noise"], ["scan-detuning"]])
     def test_overflow_names_the_fields(self, tmp_path, capsys, command):

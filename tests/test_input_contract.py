@@ -15,9 +15,8 @@ at most MAX_POINTS sweep points, take about 3 s on a 2-vCPU x86-64 VM.
 A scenario built in code holds what no file can: None, bools, numpy scalars
 and strings in any field.  The sweeps and full_report validate what they are
 given, so each call either raises ValidationError, DomainError or
-OverflowError naming a field, or returns finite output.  The one exception
-is an OverflowError from the depth scan's peak refinement, which names none.
-CODE_EXAMPLES examples take about 1 s.
+OverflowError naming a field, or returns finite output.  CODE_EXAMPLES
+examples take about 1 s.
 """
 
 import contextlib
@@ -27,14 +26,14 @@ import math
 import re
 import tempfile
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lambda_mixer.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from lambda_mixer.cli import DEFAULT_DABS_SPEC, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from lambda_mixer.design import full_report
 from lambda_mixer.errors import DomainError, ValidationError
 from lambda_mixer.model import (
@@ -45,6 +44,7 @@ from lambda_mixer.model import (
     SweepSpec,
     field_specs,
 )
+from lambda_mixer.propagation import n_fwm
 from lambda_mixer.scan import sweep_absorber_depth, sweep_detuning
 from lambda_mixer.scenario import load_scenario, resolve_scenario_path
 
@@ -291,10 +291,7 @@ def check_call(call, scenario: Scenario):
     except ValidationError as err:
         assert err.violations and {v.field for v in err.violations} <= FIELDS, err.violations
     except (DomainError, OverflowError) as err:  # an OverflowError is the CLI's exit 2
-        # but for the depth scan's peak refinement, which squares past the double range
-        # without naming a field (CHANGES.md FOUND)
-        overflow_allowed = isinstance(err, OverflowError) and call is depth_scan
-        assert overflow_allowed or NAMED.search(str(err)), str(err)
+        assert NAMED.search(str(err)), str(err)
     return None
 
 
@@ -336,6 +333,15 @@ def depth_scan(scenario: Scenario):
 
 
 SEC5 = load_scenario("sec5_proposed_mix")[0]
+FIG2_MEDIUM = asdict(load_scenario("fig2_default")[0].eit)
+
+
+def default_depth_scan(scenario: Scenario):
+    return sweep_absorber_depth(scenario, DEFAULT_DABS_SPEC)
+
+
+def noise_photons(scenario: Scenario):
+    return n_fwm(scenario.eit)
 
 
 @pytest.mark.parametrize(
@@ -345,6 +351,19 @@ SEC5 = load_scenario("sec5_proposed_mix")[0]
         ("absorber", dict(omega_a=1e200), full_report, "(omega_a / delta_2)**2 overflows"),
         ("absorber", dict(omega_a=1e200, delta_2=1e200), sweep_detuning, "omega_a**2 / delta_2 overflows"),
         ("eit", dict(gamma_ge=1e200), full_report, "noise ratio is inf"),
+        # the peak refinement squares a peak difference past the double range
+        (
+            "eit",
+            dict(FIG2_MEDIUM, delta_control=6.0),
+            default_depth_scan,
+            "peak refinement overflows at d_abs = ",
+        ),
+        (
+            "eit",
+            dict(delta_control=3.0),
+            noise_photons,
+            "n_fwm = sinh(depth * gamma_ge / delta_control)**2 is inf",
+        ),
     ],
 )
 def test_overflow_names_its_fields(section, changes, call, message):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -323,6 +324,30 @@ class TestSweepContract:
         assert records == [sweep[i] for i in range(len(sweep))]
         assert all(type(r) is SpectrumRecord for r in records)
 
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_iteration_matches_indexing_across_blocks(self, n):
+        # iteration reads BLOCK rows at a time; every row is read once, in order
+        sweep = Sweep(*(np.arange(n) + 0.5 * k for k in range(1, 6)), np.arange(n) % 3 == 0)
+        parts = (sweep, sweep[::-1], sweep[n - 2 :: -3], sweep[5:5], sweep[0:5:-1])
+        assert [len(part) for part in parts] == [n, n, (n + 1) // 3, 0, 0]
+        for part in parts:
+            records = list(part)
+            assert records == [part[i] for i in range(len(part))]
+            assert all(list(map(type, r)) == [float] * 5 + [bool] for r in records)
+            assert all(type(r) is SpectrumRecord for r in records)
+
+    def test_iteration_holds_one_block_of_rows(self):
+        n = 100_000  # 4.8 MB of columns; read out at once as Python values, ~17 MB
+        sweep = Sweep(*(np.linspace(0.0, 1.0, n) + k for k in range(5)), np.zeros(n, bool))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == n
+        assert peak < 2e6
+
     def test_equal_only_to_a_sweep_with_equal_columns(self, sweep):
         assert sweep == Sweep(*sweep.columns)
         assert sweep == Sweep(*(column.copy() for column in sweep.columns))
@@ -448,6 +473,24 @@ class TestRowPeaks:
         values[0, 0] = [1e199, 1e200, 0.0]
         flagged = np.array([[False, False, True]])
         assert _row_peaks(values, flagged)[0].tolist() == [1e200]
+
+    def test_overflowing_refinement_names_the_first_such_depth(self, fig2_scenario):
+        # delta_control = 10: the peaks overflow below d_abs ~ 5000; in falling order the
+        # first such depth lies in the third group of 10 rows
+        scenario = replace(fig2_scenario, eit=replace(fig2_scenario.eit, delta_control=10.0))
+        depths = np.linspace(20000.0, 1000.0, 39)
+        overflowing = []
+        for d_abs in depths.tolist():
+            try:
+                peak_outputs(scenario, d_abs)
+            except OverflowError:
+                overflowing.append(d_abs)
+        assert 20 <= len(depths) - len(overflowing) < 30
+        with pytest.raises(OverflowError) as err:
+            scan._depth_scan(scenario, depths, None)
+        assert str(err.value) == (
+            f"peak refinement overflows at d_abs = {overflowing[0]!r} in {scenario.eit}"
+        )
 
 
 def reference_expm2(m00, m01, m10, m11):
