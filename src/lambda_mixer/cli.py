@@ -30,7 +30,7 @@ from . import __version__
 from .design import full_report
 from .errors import DomainError, InfeasibleTargetError, ValidationError
 from .model import DEPTH_AXIS, DETUNING_AXIS, Scenario, SweepSpec
-from .propagation import n_fwm, noise_suppression_ratio
+from .propagation import n_fwm, noise_expansion_parameter, noise_suppression_ratio
 from .scenario import ScenarioFileError, load_scenario, scenario_to_dict
 from .susceptibility import effective_depth
 
@@ -213,6 +213,22 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _warn_noise_regime(scenario: Scenario, d_abs: float) -> None:
+    """One stderr line where the leading-order noise ratio at d_abs is outside its regime.
+
+    Its expansion parameter epsilon should be small: |epsilon| >= 0.1 warns,
+    and epsilon >= 1 says that the formula's exponent has changed sign.
+    """
+    eps = noise_expansion_parameter(scenario.eit, d_abs)
+    if abs(eps) >= 0.1:
+        what = "at least 1: the formula's exponent has changed sign" if eps >= 1 else "not small"
+        print(
+            f"warning: noise_ratio is leading order in epsilon = gamma_ge/delta_control * depth/d_abs, "
+            f"which is {what} (epsilon = {eps:.3g} at d_abs = {d_abs:.6g})",
+            file=sys.stderr,
+        )
+
+
 def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
@@ -245,6 +261,8 @@ def _cmd_design(args) -> int:
             f"  Raman scattering x  : {report.raman_x:.6g}  [{_verdict(report.raman_ok)}]"
         )
         print(f"  overall             : {_verdict(report.overall)}")
+    if report.d_abs_target > 0:  # the report's noise ratio is evaluated there
+        _warn_noise_regime(scenario, report.d_abs_target)
     return EXIT_OK if report.overall else EXIT_DESIGN_FAIL
 
 
@@ -263,6 +281,7 @@ def _cmd_noise(args) -> int:
     print(f"n_fwm = {fwm!r}")
     print(f"noise_ratio = {ratio!r}")
     print(f"n_abs = {n_abs!r}")
+    _warn_noise_regime(scenario, d_abs)
     return EXIT_OK
 
 

@@ -178,5 +178,5 @@ def full_report(scenario: Scenario) -> DesignReport:
     if report.overall:  # an infinite figure is a limit, as raman_x at omega_c = 0, only in a FAIL
         for name, value in asdict(report).items():
             if not math.isfinite(value):
-                raise OverflowError(f"{name} is {value!r} in a passing design report")
+                raise OverflowError(f"{name} is {value!r} in a passing design report of {scenario}")
     return report

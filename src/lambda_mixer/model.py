@@ -13,11 +13,21 @@ The dataclasses below are the only declaration of a scenario field: its type
 default, and its range rule, attached as ``field(metadata={"rule": ...})``.
 The scenario parser and :func:`validate` both read them through
 :func:`field_specs`.
+
+A number field holds one Python type whatever was passed: each section
+converts, on construction, every real number (an ``int``, a ``Fraction``, a
+numpy scalar) in a float field to ``float`` and every integer in the int
+field ``sweep.points`` to ``int``, so every formula below :func:`validate`
+computes in Python's float arithmetic.  An int beyond the double range
+becomes +-inf there and is reported as ``must be finite``.  A bool, a
+string, ``None`` or any other object is stored as given, for
+:func:`field_violations` to report.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -42,7 +52,7 @@ if TYPE_CHECKING:
 MAX_SWEEP_POINTS = 100_000  # bounds one sweep's output; a depth scan times its inner grid
 SweepAxis = Literal["two-photon-detuning", "absorber-depth"]
 DETUNING_AXIS, DEPTH_AXIS = get_args(SweepAxis)
-_ABC = {int: numbers.Integral, float: numbers.Real}  # the ABC a number field admits: numpy scalars too
+_ABC = {int: numbers.Integral, float: numbers.Real}  # the numbers an int or float field converts
 _MUST_BE = {bool: "true or false", int: "an integer", float: "a real number", str: "a string"}
 
 
@@ -67,8 +77,21 @@ def _fraction(**default):
     return _rule(lambda x: 0 < x < 1, "must lie strictly between 0 and 1", **default)
 
 
+class _Section:
+    """Stores a real number (not a bool) in a float field as float, an integer in an int field as int."""
+
+    def __post_init__(self):
+        for name, tp, _, _, _, _ in field_specs(type(self)):
+            value = getattr(self, name)
+            if type(value) not in (tp, bool) and isinstance(value, _ABC.get(tp, ())):
+                try:  # frozen: bypass __setattr__
+                    object.__setattr__(self, name, tp(value))
+                except OverflowError:  # an int beyond the double range, reported as not finite
+                    object.__setattr__(self, name, math.inf if value > 0 else -math.inf)
+
+
 @dataclass(frozen=True)
-class EitMedium:
+class EitMedium(_Section):
     """Rates, detuning, control Rabi frequency, and optical depth of the EIT/FWM lambda system.
 
     gamma_ge: optical coherence decay rate (MHz)
@@ -88,7 +111,7 @@ class EitMedium:
 
 
 @dataclass(frozen=True)
-class RamanAbsorber:
+class RamanAbsorber(_Section):
     """The auxiliary far-detuned lambda system acting as a tunable idler absorber.
 
     omega_a: Raman control Rabi frequency (MHz)
@@ -158,13 +181,13 @@ class CouplingMatrix:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Section):
     """Grid description for one sweep axis; :meth:`violations` holds every rule it must meet."""
 
     axis: SweepAxis
     start: float
     stop: float
-    points: int = _rule(  # after the type check: an int or a numpy integer, not 3.5 or True
+    points: int = _rule(  # after the type check: an int (a numpy integer is converted), not 3.5 or True
         lambda n: 2 <= n <= MAX_SWEEP_POINTS,
         f"must be an integer, at least 2 and at most {MAX_SWEEP_POINTS}",
     )
@@ -183,7 +206,7 @@ class SweepSpec:
             return v
         if "sweep.stop" not in failed and not start < stop:
             v.append(Violation("sweep.start", start, "must be less than stop"))
-        elif "sweep.stop" not in failed and not _finite(stop - start):
+        elif "sweep.stop" not in failed and not math.isfinite(stop - start):
             v.append(Violation("sweep.stop", stop, f"must lie a finite distance above {start!r}"))
         if self.scale == "logarithmic" and not start > 0:
             v.append(Violation("sweep.start", start, "must be positive on a logarithmic scale"))
@@ -212,7 +235,7 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class ScanOptions:
+class ScanOptions(_Section):
     """Behavioral switches shared by the sweep engine and the design calculator.
 
     stokes_seed: input idler amplitude relative to the input signal
@@ -273,29 +296,25 @@ def field_specs(cls: type) -> tuple[FieldSpec, ...]:
     return tuple(specs)
 
 
-def _finite(x) -> bool:
-    try:
-        return cmath.isfinite(x)
-    except OverflowError:  # an int beyond the double range
-        return False
-
-
 def field_violations(obj, prefix: str = "") -> list[Violation]:
     """Per-field violations of one dataclass instance: type, choices, finiteness, then its rule.
 
-    ``None`` is a value only of an ``Optional`` field.  A field reports at most
-    one violation.
+    A number field of a section holds a Python ``float`` (``int`` for
+    ``points``) wherever a real number was passed, converted on construction;
+    an int beyond the double range is held as +-inf and reported as
+    ``must be finite``.  ``None`` is a value only of an ``Optional`` field.
+    A field reports at most one violation.
     """
     v: list[Violation] = []
     for name, tp, _, optional, choices, rule in field_specs(type(obj)):
         value = getattr(obj, name)
         if value is None and optional:
             continue
-        if type(value) is not tp and (isinstance(value, bool) or not isinstance(value, _ABC.get(tp, tp))):
+        if type(value) is not tp and (isinstance(value, bool) or not isinstance(value, tp)):
             constraint = f"must be {_MUST_BE.get(tp) or 'an instance of ' + tp.__name__}"
         elif choices and value not in choices:
             constraint = f"must be one of {choices}"
-        elif (tp is float or tp is complex) and not _finite(value):
+        elif (tp is float or tp is complex) and not cmath.isfinite(value):
             constraint = "must be finite"
         elif rule is not None and not rule[0](value):
             constraint = rule[1]

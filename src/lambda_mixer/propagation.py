@@ -273,9 +273,18 @@ def n_fwm(eit: EitMedium) -> float:
     return fwm
 
 
+def noise_expansion_parameter(eit: EitMedium, d_abs: float) -> float:
+    """The small parameter of :func:`noise_suppression_ratio`, (gamma_ge/delta_control) * depth/d_abs.
+
+    The ratio is leading order in it; at 1 and above its exponent has changed sign.
+    """
+    return eit.gamma_ge / eit.delta_control * (eit.depth / d_abs)
+
+
 def noise_suppression_ratio(eit: EitMedium, d_abs: float) -> float:
     """Ratio of noise photons created with the absorber to those without it.
 
+    Leading order in :func:`noise_expansion_parameter`, which it does not check.
     Raises OverflowError, naming the medium, where the ratio leaves the double range.
     """
     if not d_abs > 0:

@@ -4,7 +4,8 @@ Scenario files are a flat, sectioned key-value format (a TOML-compatible
 subset): ``[section]`` headers, one ``key = value`` per line, and ``#``
 comments, which start anywhere on a line (no allowed string value holds one).
 A value is a literal: ``true``/``false``, a double-quoted string, an integer
-or a float; the model's dataclasses decide which type each key takes.  All
+or a float; the model's dataclasses decide which type each key takes, and
+store an integer literal in a float key as a float.  All
 quantities are MHz and dimensionless depths.  Unknown sections or keys are
 rejected, and every problem is reported together with its line number.
 """
@@ -26,11 +27,10 @@ SCENARIO_DIR_ENV = "LAMBDA_MIXER_SCENARIO_DIR"
 
 # One section per Scenario field, one key per field of its dataclass.
 _SECTIONS = {section.name: section for section in field_specs(Scenario)}
-_SECTION_KEYS: dict[str, dict[str, tuple[type, bool]]] = {
-    name: {f.name: (f.type, f.required) for f in field_specs(section.type)}
-    for name, section in _SECTIONS.items()
+_SECTION_KEYS: dict[str, dict[str, bool]] = {  # section -> key -> whether the key is required
+    name: {f.name: f.required for f in field_specs(section.type)} for name, section in _SECTIONS.items()
 }
-_SECTION_KEYS["absorber"]["gamma_ac"] = (float, False)  # if omitted, it is set equal to gamma_ab
+_SECTION_KEYS["absorber"]["gamma_ac"] = False  # if omitted, it is set equal to gamma_ab
 
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
@@ -98,8 +98,6 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
         if value is None:
             errors.append(f'line {lineno}: {key} = {value_text}: not true, false, a number or a "string"')
             continue
-        if type(value) is int and schema[key][0] is float:  # written as the float it stands for
-            value = float(value_text)
         sections[current][key] = value
         key_lines[f"{current}.{key}"] = lineno
 
@@ -107,7 +105,7 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
         if section.required and name not in sections:
             errors.append(f"missing required section [{name}]")
     for name, data in sections.items():
-        for key, (_, required) in _SECTION_KEYS[name].items():
+        for key, required in _SECTION_KEYS[name].items():
             if required and key not in data:
                 errors.append(f"section [{name}] is missing required key {key!r}")
     if errors:

@@ -29,8 +29,10 @@ from lambda_mixer.cli import (
 )
 from lambda_mixer.design import full_report
 from lambda_mixer.model import validate
+from lambda_mixer.propagation import n_fwm, noise_suppression_ratio
 from lambda_mixer.scan import BLOCK, default_detuning_spec, sweep_absorber_depth, sweep_detuning
 from lambda_mixer.scenario import load_scenario, resolve_scenario_path, scenario_search_dirs
+from lambda_mixer.susceptibility import effective_depth
 
 
 def shipped_with(tmp_path, name, old, new):
@@ -711,6 +713,55 @@ class TestNoise:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numerical overflow: n_abs = noise_ratio * n_fwm = inf\n"
+
+
+class TestNoiseRegime:
+    """noise and design name the noise ratio's expansion parameter where it is not small."""
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            (
+                "sec5_as_performed",
+                "warning: noise_ratio is leading order in epsilon = gamma_ge/delta_control * depth/d_abs, "
+                "which is at least 1: the formula's exponent has changed sign "
+                "(epsilon = 47.6 at d_abs = 0.0138445)",
+            ),
+            (
+                "fig4_dabs_4.16",
+                "warning: noise_ratio is leading order in epsilon = gamma_ge/delta_control * depth/d_abs, "
+                "which is not small (epsilon = 0.154 at d_abs = 4.16)",
+            ),
+            ("fig2_default", None),
+            ("sec5_proposed_mix", None),
+        ],
+        ids=["sec5_as_performed", "fig4_dabs_4.16", "fig2_default", "sec5_proposed_mix"],
+    )
+    def test_noise_warns_outside_the_small_epsilon_regime(self, capsys, name, line):
+        scenario = load_scenario(name)[0]
+        d_abs = effective_depth(scenario.absorber)
+        fwm, ratio = n_fwm(scenario.eit), noise_suppression_ratio(scenario.eit, d_abs)
+        assert main(["noise", "--scenario", name]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == f"n_fwm = {fwm!r}\nnoise_ratio = {ratio!r}\nn_abs = {ratio * fwm!r}\n"
+        assert captured.err.splitlines() == ([line] if line else [])
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_design_warns_at_its_target_depth(self, tmp_path, capsys, json_flag):
+        # epsilon = (300 / 3036) / 1.1 = 0.0898 at the shipped target, 0.198 at half the depth
+        assert main(["design", "--scenario", "sec5_proposed_mix", *json_flag]) == EXIT_DESIGN_FAIL
+        assert capsys.readouterr().err == ""
+        scenario = shipped_with(
+            tmp_path, "sec5_proposed_mix", "target_depth_ratio = 1.1", "target_depth_ratio = 0.5"
+        )
+        assert main(["design", "--scenario", str(scenario), *json_flag]) == EXIT_DESIGN_FAIL
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: noise_ratio is leading order in epsilon = gamma_ge/delta_control * depth/d_abs, "
+            "which is not small (epsilon = 0.198 at d_abs = 7.5)"
+        ]
+        if json_flag:
+            assert json.loads(captured.out)["d_abs_target"] == 7.5
 
 
 class TestInvocation:

@@ -12,11 +12,13 @@ sweeps, renderers and design formulas.
 Runtime bound: MAX_EXAMPLES examples, each running the five command forms on
 at most MAX_POINTS sweep points, take about 3 s on a 2-vCPU x86-64 VM.
 
-A scenario built in code holds what no file can: None, bools, numpy scalars
-and strings in any field.  The sweeps and full_report validate what they are
-given, so each call either raises ValidationError, DomainError or
-OverflowError naming a field, or returns finite output.  CODE_EXAMPLES
-examples take about 1 s.
+A scenario built in code holds what no file can: None, bools, numpy scalars,
+ints past the double range and strings in any field.  The sections store
+every real number as a Python float (an int in sweep.points), so no numpy
+arithmetic and no warning reaches the formulas.  The sweeps and full_report
+validate what they are given, so each call either raises ValidationError,
+DomainError or OverflowError naming a field, or returns finite output, with
+warnings as errors.  CODE_EXAMPLES examples take about 1 s.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -243,6 +246,22 @@ FIELDS = set(SECTIONS) | {
 NAMED = re.compile(r"\b(?:{})\b".format("|".join(sorted({f.split(".")[-1] for f in FIELDS}))))
 
 
+# where a step leaves a type's range: float32's maximum, about the square root of the
+# double maximum, the double maximum and inf, int64's maximum, and ints past the doubles
+EDGES = [
+    np.float32(3.4e38),
+    np.finfo(np.float32).max,
+    np.float64(1.3e154),
+    np.float64(1e200),
+    np.finfo(np.float64).max,
+    np.float64(1.8e308),
+    np.int64(2**63 - 1),
+    10**200,
+    10**309,
+    2**1100,
+]
+
+
 def code_values(section: str, spec):
     """A value for one field: any the file property draws, or one no file can hold."""
     return st.one_of(
@@ -251,8 +270,9 @@ def code_values(section: str, spec):
         st.floats(),  # nan and the infinities too
         st.floats().map(np.float64),
         st.floats(width=32).map(np.float32),
-        st.integers(),
+        st.integers(-(2**1100), 2**1100),
         st.integers(-5, 50).map(np.int64),
+        st.sampled_from(EDGES).flatmap(lambda x: st.sampled_from([x, -x])),
     )
 
 
@@ -311,18 +331,33 @@ def check_call(call, scenario: Scenario):
         options=ScanOptions(stokes_seed="1", apply_light_shift="no"),
     )
 )
+# full_report computed in float32: numpy warned of an overflow in scalar multiply
+@example(
+    Scenario(
+        eit=EitMedium(300.0, 0.064, 3036.0, 50.0, 15.0),
+        absorber=RamanAbsorber(103.9, 14700.0, 300.0, 300.0, np.float32(3.4e38), 85.0),
+        options=ScanOptions(delta_a=14677.0),
+    )
+)
+# gamma_ge / delta_a overflows to -inf: a passing report's OverflowError named no field
+@example(
+    Scenario(
+        eit=EitMedium(300.0, 0.033189889272, 3036.0, 50.0, 6.465019137871),
+        absorber=RamanAbsorber(5000.0, 10000.0, 300.0, 300.0, 0.064, 85.0),
+        options=ScanOptions(delta_a=-2.225073858507e-311),
+    )
+)
+# an int past the double range: int too large to convert to float, from inside the sweep
+@example(Scenario(eit=EitMedium(300.0, 0.064, 10**200, 50.0, 15.0)))
 def test_library_calls_validate_what_they_are_given(scenario):
-    # a numpy scalar in a field computes as numpy does: where a Python float raises
-    # OverflowError it warns, and gives inf or nan (see CHANGES.md)
-    sections = [obj for obj in scenario.__dict__.values() if hasattr(obj, "__dict__")]
-    numpy_math = any(isinstance(v, np.generic) for obj in sections for v in obj.__dict__.values())
-    with np.errstate(all="ignore") if numpy_math else contextlib.nullcontext():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning, say, fails the example
         sweeps = [check_call(sweep_detuning, scenario), check_call(depth_scan, scenario)]
         report = check_call(full_report, scenario)
     for sweep in (s for s in sweeps if s is not None):
         assert all(np.isfinite(column).all() for column in sweep.columns[:-1])
         assert sweep.flagged.dtype == bool
-    if report is not None and not numpy_math:
+    if report is not None:
         values = [v for v in report.__dict__.values() if not isinstance(v, bool)]
         assert not any(math.isnan(v) for v in values)
         assert not report.overall or all(map(math.isfinite, values))

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from typing import get_args
 from unittest import mock
 
@@ -20,6 +21,7 @@ from lambda_mixer.model import (
     Scenario,
     SweepAxis,
     SweepSpec,
+    field_specs,
     field_violations,
     scenario_violations,
     validate,
@@ -120,6 +122,8 @@ class TestValidate:
             ("eit", {"omega_c": None}, [("eit.omega_c", "must be a real number")]),
             ("eit", {"depth": True}, [("eit.depth", "must be a real number")]),
             ("eit", {"depth": "15"}, [("eit.depth", "must be a real number")]),
+            ("eit", {"depth": 15j}, [("eit.depth", "must be a real number")]),
+            ("eit", {"depth": np.array(15.0)}, [("eit.depth", "must be a real number")]),
             ("eit", {"depth": np.float32("inf")}, [("eit.depth", "must be finite")]),
             ("eit", {"depth": 10**400}, [("eit.depth", "must be finite")]),
             ("eit", {"depth": np.int64(15), "omega_c": np.float32(50.0)}, []),
@@ -129,7 +133,7 @@ class TestValidate:
             ("options", {"stokes_seed": None}, [("options.stokes_seed", "must be a real number")]),
         ],
         ids=[
-            "none", "bool", "str", "float32-inf", "int-beyond-double", "numpy",
+            "none", "bool", "str", "complex", "numpy-array", "float32-inf", "int-beyond-double", "numpy",
             "int-in-bool", "numpy-bool", "optional-none", "none-with-a-default",
         ],
     )
@@ -285,6 +289,53 @@ class TestSweepSpec:
         except ScenarioFileError as err:
             errors = err.errors
         assert errors == [f"line {line[v.field]}: {v}" for v in violations]
+
+
+class TestNumberFields:
+    """A section holds each real number of a float field as a float, each integer of points as an int."""
+
+    SECTIONS = [
+        EitMedium(300.0, 0.064, 3036.0, 50.0, 15.0),
+        RamanAbsorber(5000.0, 10000.0, 300.0, 300.0, 0.064, 85.0),
+        SweepSpec("two-photon-detuning", -1.0, 1.0, 5),
+        ScanOptions(delta_a=14677.0, eit_fraction=0.15, absorber_fraction=0.85),
+    ]
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (15, 15.0),
+            (np.float64(15.0), 15.0),
+            (np.float32(15.0), 15.0),
+            (np.float32(0.1), float(np.float32(0.1))),
+            (np.int64(15), 15.0),
+            (Fraction(31, 2), 15.5),
+            (10**200, 1e200),
+            (10**400, math.inf),
+            (-(10**400), -math.inf),
+        ],
+        ids=["int", "float64", "float32", "float32-inexact", "int64", "fraction", "big-int",
+             "int-beyond-double", "negative-int-beyond-double"],
+    )
+    @pytest.mark.parametrize("section", SECTIONS, ids=lambda obj: type(obj).__name__)
+    def test_every_float_field_holds_a_float(self, section, value, expected):
+        names = [spec.name for spec in field_specs(type(section)) if spec.type is float]
+        assert names
+        for name in names:
+            held = getattr(replace(section, **{name: value}), name)
+            assert type(held) is float and held == expected, (name, held)
+
+    @pytest.mark.parametrize("points", [5, np.int64(5), np.int32(5), np.uint8(5)])
+    def test_points_holds_an_int(self, points):
+        spec = SweepSpec("two-photon-detuning", -1.0, 1.0, points)
+        assert type(spec.points) is int and spec.points == 5
+        assert spec == SweepSpec("two-photon-detuning", -1.0, 1.0, 5)
+
+    def test_an_int_beyond_the_double_range_is_reported_as_not_finite(self):
+        spec = SweepSpec("two-photon-detuning", -(10**400), 10**400, 5)
+        assert [str(v) for v in spec.violations()] == [
+            "sweep.start = -inf: must be finite", "sweep.stop = inf: must be finite"
+        ]
 
 
 class TestCouplingMatrixType:

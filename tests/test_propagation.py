@@ -30,12 +30,13 @@ from lambda_mixer.propagation import (
     coupling_entries,
     expm2,
     n_fwm,
+    noise_expansion_parameter,
     noise_suppression_ratio,
     propagate,
 )
 from lambda_mixer.scan import absorber_loss_profile, default_detuning_spec, sweep_detuning
 from lambda_mixer.scenario import load_scenario
-from lambda_mixer.susceptibility import chi_abs, normalized_lineshape
+from lambda_mixer.susceptibility import chi_abs, effective_depth, normalized_lineshape
 
 RNG_SEED = 20240811
 
@@ -711,6 +712,27 @@ class TestNoiseQuantities:
     def test_zero_absorber_depth_rejected(self, sec5_eit):
         with pytest.raises(DomainError):
             noise_suppression_ratio(sec5_eit, 0.0)
+
+    @pytest.mark.parametrize(
+        "name, epsilon",
+        [
+            ("fig2_default", 0.0075),
+            ("fig4_dabs_0.83", 0.77),
+            ("fig4_dabs_4.16", 0.154),
+            ("fig4_dabs_41.6", 0.0154),
+            ("sec5_proposed_mix", 0.092),
+            ("sec5_as_performed", 47.6),
+        ],
+    )
+    def test_expansion_parameter_of_the_shipped_scenarios(self, name, epsilon):
+        scenario = load_scenario(name)[0]
+        d_abs = effective_depth(scenario.absorber)
+        eps = noise_expansion_parameter(scenario.eit, d_abs)
+        assert eps == pytest.approx(epsilon, rel=0.01)
+        # the ratio is eps**2 * exp(-2 depth r (1 - eps)) with the same eps, bit for bit
+        r = scenario.eit.gamma_ge / scenario.eit.delta_control
+        expected = eps**2 * math.exp(-2.0 * scenario.eit.depth * r * (1.0 - eps))
+        assert noise_suppression_ratio(scenario.eit, d_abs) == expected
 
 
 class TestEitReference:

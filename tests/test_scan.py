@@ -275,6 +275,14 @@ class TestDepthSweep:
             sweep_absorber_depth(bare, spec)
         assert peak_outputs(bare, 0.0).probe_transmission > 0  # lossless scan still fine
 
+    def test_total_work_is_bounded_before_any_point_is_evaluated(self, fig2_scenario):
+        # 402 x 100,000 points is just over the CLI's largest scan, 100,000 x 401
+        depths = SweepSpec(axis="absorber-depth", start=0.0, stop=10.0, points=402)
+        inner = SweepSpec(axis="two-photon-detuning", start=-100.0, stop=100.0, points=100_000)
+        with mock.patch.object(scan, "_row_groups", side_effect=AssertionError("evaluated")):
+            with pytest.raises(DomainError, match="^a depth scan of 402 depths x 100000 detunings "):
+                sweep_absorber_depth(fig2_scenario, depths, inner_spec=inner)
+
     def test_depth_override_works_from_zero_native_depth(self, fig2_scenario):
         # the shape comes from the absorber section even when its own
         # effective depth vanishes (omega_a = 0 with finite gamma_cb)
@@ -283,6 +291,29 @@ class TestDepthSweep:
         )
         strong = peak_outputs(dark, 50.0)
         assert strong.probe_transmission == pytest.approx(0.95, rel=0.02)
+
+
+class TestNumberTypes:
+    """Whatever real number a field is given, the sweep computes in Python floats."""
+
+    @pytest.mark.parametrize(
+        "convert", [int, np.float64, np.float32, np.int64], ids=["int", "float64", "float32", "int64"]
+    )
+    def test_integral_values_sweep_as_their_floats(self, convert):
+        # every eit field of the shipped sec5 medium but gamma_gs = 0.064 is an integer
+        base = load_scenario("sec5_proposed_mix")[0]
+        changes = {k: convert(v) for k, v in base.eit.__dict__.items() if k != "gamma_gs"}
+        converted = replace(base, eit=replace(base.eit, **changes))
+        assert converted.eit == base.eit
+        spec = SweepSpec(axis="absorber-depth", start=0.0, stop=10.0, points=3)
+        assert sweep_detuning(converted) == sweep_detuning(base)
+        assert sweep_absorber_depth(converted, spec) == sweep_absorber_depth(base, spec)
+
+    def test_a_201_digit_int_sweeps_as_its_float(self, fig4_scenarios):
+        # as an int, delta_control**2 = 10**400 would fit no float inside the kernel
+        base = fig4_scenarios["4.16"]
+        big = sweep_detuning(replace(base, eit=replace(base.eit, delta_control=10**200)))
+        assert big == sweep_detuning(replace(base, eit=replace(base.eit, delta_control=1e200)))
 
 
 class TestSweepContract:

@@ -4,7 +4,7 @@ from typing import Optional, get_args, get_type_hints
 
 import pytest
 
-from lambda_mixer.model import Scenario
+from lambda_mixer.model import Scenario, field_specs
 from lambda_mixer.scenario import (
     SCENARIO_DIR_ENV,
     ScenarioFileError,
@@ -296,11 +296,17 @@ PINNED_KEYS = {
 
 
 def test_derived_schema_is_pinned():
-    # a field added to, removed from or retyped on a dataclass changes the file format
+    # a field added to, removed from or retyped on a dataclass changes the file format; the
+    # parser's table holds whether a key is required, the field's declaration its type
     def ordered(table):
         return [(name, list(keys.items())) for name, keys in table.items()]
 
-    assert ordered(_SECTION_KEYS) == ordered(PINNED_KEYS)
+    types = {s.name: {f.name: f.type for f in field_specs(s.type)} for s in field_specs(Scenario)}
+    derived = {
+        name: {key: (types[name][key], required) for key, required in keys.items()}
+        for name, keys in _SECTION_KEYS.items()
+    }
+    assert ordered(derived) == ordered(PINNED_KEYS)
 
 
 class TestResolution:
